@@ -37,14 +37,7 @@ from .gaussian_core import (
     substream,
 )
 from .nonlinearity import get_map
-from .psi2_estimation import (
-    RESAMPLES,
-    SCAN_BINS,
-    _orlicz_estimate,
-    direction_set,
-    mgf_sigma,
-    psi2_vector,
-)
+from .psi2_estimation import psi2_vector, scan_directions
 
 LAMBDA_GRID = (0.25, 0.5, 1.0)   # MGF check grid, symmetrized internally
 FLATNESS_BOUND = 1.3             # max/min ratio separating O(1) from sqrt(n) growth
@@ -53,9 +46,7 @@ EXCEEDANCE_THRESHOLD = 100.0     # reporting proxy for the ill-conditioned event
 EXCEEDANCE_RATE_BOUND = 0.01
 SLOPE_WINDOW_HALFWIDTH = 0.05    # accepted deviation of the log-log slope from 1/2
 
-_TAG_SCANDIRS = 201
-_TAG_SCANBOOT = 202
-_TAG_SCANMGF = 203
+_SCAN_TAGS = (201, 202, 203)     # direction set, bootstrap and MGF substreams of a scan
 
 
 # Report structures ----------------------------------------------------------
@@ -201,47 +192,21 @@ def partition_rows(w_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w_matrix[:m], w_matrix[m:]
 
 
-# Direction scans --------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScanResult:
-    value: float
-    ci_low: float
-    ci_high: float
-    direction: np.ndarray
-    n_directions: int
-    mgf_sigma_max: Optional[float] = None
-
-
-def _scan(y: np.ndarray, n_random: int, seed: int, stream_id: int, *,
-          lambda_grid=None, bins: int = SCAN_BINS, resamples: int = RESAMPLES) -> ScanResult:
-    """Max Orlicz estimate (and optionally max fitted MGF sigma) over the
-    canonical + all-ones + random direction set."""
-    n = y.shape[1]
-    dirs = direction_set(n, n_random, substream(seed, stream_id, _TAG_SCANDIRS))
-    proj = y @ dirs.T
-    best = (-1.0, 0.0, 0.0, 0)
-    sigma_max = None
-    for d in range(dirs.shape[0]):
-        rng = substream(seed, stream_id, _TAG_SCANBOOT, d)
-        value, lo, hi = _orlicz_estimate(proj[:, d], rng, bins, resamples)
-        if value > best[0]:
-            best = (value, lo, hi, d)
-        if lambda_grid is not None:
-            fit = mgf_sigma(proj[:, d], lambda_grid,
-                            seed=subseed(seed, stream_id, _TAG_SCANMGF, d), bins=bins)
-            sigma_max = fit.sigma if sigma_max is None else max(sigma_max, fit.sigma)
-    return ScanResult(value=best[0], ci_low=best[1], ci_high=best[2],
-                      direction=dirs[best[3]].copy(), n_directions=dirs.shape[0],
-                      mgf_sigma_max=sigma_max)
-
-
 def _ratio(values) -> float:
     values = [v for v in values if v > 0]
     return max(values) / min(values) if values else 1.0
 
 
 # Experiment runners ------------------------------------------------------------
+
+def _centered_image(bmap, cov: CovarianceSpec, count: int, seed: int, stream_id: int,
+                    threads: int) -> np.ndarray:
+    """phi(X) for count draws of X ~ N(0, cov), the second half centered by the
+    mean of the first.  The draws and the uncentered image are freed on return."""
+    y = np.asarray(bmap(sample_gaussian(cov, count, seed, stream_id, threads=threads).data))
+    half = count // 2
+    return y[half:] - y[:half].mean(axis=0)
+
 
 def run_theorem_experiment(cfg: TheoremConfig, *, threads: int = 1) -> ExperimentReport:
     """Per (n, kappa) cell: sample X ~ N(0, Sigma), form Y = phi(X), center by
@@ -258,11 +223,10 @@ def run_theorem_experiment(cfg: TheoremConfig, *, threads: int = 1) -> Experimen
     sigma_by_kappa = {k: {} for k in cfg.kappas}
     for cell, (n, kappa) in enumerate(product(cfg.dims, cfg.kappas)):
         cov = make_conditioned_covariance(n, kappa, subseed(eff_seed, "cov", cell))
-        batch = sample_gaussian(cov, cfg.samples_per_cell, eff_seed, cell, threads=threads)
-        y = np.asarray(bmap(batch.data))
-        half = cfg.samples_per_cell // 2
-        centered = y[half:] - y[:half].mean(axis=0)  # independent-half centering
-        scan = _scan(centered, cfg.directions, eff_seed, cell, lambda_grid=LAMBDA_GRID)
+        centered = _centered_image(bmap, cov, cfg.samples_per_cell, eff_seed, cell, threads)
+        scan = scan_directions(centered, cfg.directions, eff_seed, cell, _SCAN_TAGS,
+                               lambda_grid=LAMBDA_GRID, threads=threads)
+        del centered  # the next cell samples before this name is rebound
         rows.append(ReportRow("theorem", n, kappa, f"mgf_fit:{cfg.map_name}",
                               scan.mgf_sigma_max, bound=2.0 * math.sqrt(kappa)))
         rows.append(ReportRow("theorem", n, kappa, f"orlicz:{cfg.map_name}",
@@ -316,9 +280,9 @@ def run_corollary_experiment(cfg: CorollaryConfig, *, threads: int = 1) -> Exper
             for b, (y_block, kappa_b) in enumerate(
                     ((y[:, :m1], kappa1), (y[:, m1:], kappa2)), start=1):
                 mb = y_block.shape[1]
-                scan = _scan(y_block, cfg.directions, eff_seed,
-                             subseed(eff_seed, "block", w_idx, b) % (2**32),
-                             lambda_grid=LAMBDA_GRID)
+                scan = scan_directions(y_block, cfg.directions, eff_seed,
+                                       subseed(eff_seed, "block", w_idx, b) % (2**32),
+                                       _SCAN_TAGS, lambda_grid=LAMBDA_GRID, threads=threads)
                 trivial = math.sqrt(mb / math.log(2.0))
                 rows.append(ReportRow("corollary", n, kappa_b, f"orlicz:{tag}:block{b}",
                                       scan.value, scan.ci_low, scan.ci_high, bound=trivial))
@@ -330,8 +294,9 @@ def run_corollary_experiment(cfg: CorollaryConfig, *, threads: int = 1) -> Exper
             combined_values.append(combined)
             rows.append(ReportRow("corollary", n, None, f"combined:{tag}", combined))
 
-            full = _scan(y, cfg.directions, eff_seed,
-                         subseed(eff_seed, "full", w_idx) % (2**32))
+            full = scan_directions(y, cfg.directions, eff_seed,
+                                   subseed(eff_seed, "full", w_idx) % (2**32), _SCAN_TAGS,
+                                   threads=threads)
             rows.append(ReportRow("corollary", n, None, f"orlicz:{tag}:full",
                                   full.value, full.ci_low, full.ci_high))
             rows.append(ReportRow("corollary", n, None, f"triangle_gap:{tag}",
@@ -400,8 +365,8 @@ def run_counterexample(n_list, samples: int, seed: int, *,
         cov = CovarianceSpec.rank_one_ones(n)
         batch = sample_gaussian(cov, samples, subseed(seed, "counterexample"), i,
                                 threads=threads)
-        y_batch = batch.with_data(np.sign(batch.data), "sgn")
-        est = psi2_vector(y_batch, n, refine=False, center=False)
+        batch = batch.with_data(np.sign(batch.data), "sgn")  # frees the draws
+        est = psi2_vector(batch, n, refine=False, center=False, threads=threads)
         exact = math.sqrt(n / math.log(2.0))
         rows.append(ReportRow("counterexample", n, None, "orlicz",
                               est.value, est.ci_low, est.ci_high))

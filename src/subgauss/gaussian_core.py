@@ -2,8 +2,10 @@
 
 Sampling uses the spectral factor Q * sqrt(Lambda) so that singular covariances
 (rank-one all-ones, split residuals) are handled uniformly where Cholesky would
-fail.  Draws are generated in fixed-size chunks, each from its own counter-based
-substream, so results are bit-identical for any worker count.
+fail.  A factor with one nonzero per row (identity, diagonal, rank-one) is
+applied as a column gather, bit-identical to the dense product.  Draws are
+generated in fixed-size chunks, each from its own counter-based substream, so
+results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -56,6 +58,21 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Read-only view of a float array: no copy, and the caller's array keeps its flags."""
+    view = np.asarray(a, dtype=float).view()
+    view.setflags(write=False)
+    return view
+
+
+def thread_map(work, jobs, threads: int) -> list:
+    """[work(job) for job in jobs], on `threads` worker threads when above 1."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(work, jobs))
+    return [work(job) for job in jobs]
 
 
 @dataclass(frozen=True)
@@ -163,6 +180,24 @@ class CovarianceSpec:
         w[w <= SINGULARITY_REL * self.lambda_max] = 0.0
         return _frozen(self.eigenvectors * np.sqrt(w))
 
+    @cached_property
+    def factor_product(self):
+        """Function z -> z @ sampling_factor.T, bit-identical to the dense product.
+
+        When the factor has one nonzero per row it is a column gather and
+        scale: every other term of the dense product is an exact zero.  That
+        covers identity and diagonal covariances, whose factor is a permutation
+        times a diagonal (tied eigenvalues are reordered), and the rank-one
+        all-ones covariance, whose factor has a single nonzero column.
+        """
+        f = self.sampling_factor
+        nonzero = f != 0.0
+        if np.all(np.count_nonzero(nonzero, axis=1) == 1):
+            cols = np.argmax(nonzero, axis=1)
+            scale = f[np.arange(self.dim), cols]
+            return lambda z: z[:, cols] * scale
+        return lambda z: z @ f.T
+
 
 @dataclass(frozen=True)
 class CovarianceSplit:
@@ -186,7 +221,7 @@ class SampleBatch:
     def with_data(self, data: np.ndarray, label: str) -> "SampleBatch":
         """Derived batch (e.g. after a coordinate-wise map), keeping provenance."""
         data = np.asarray(data, dtype=float)
-        return SampleBatch(dim=data.shape[1], count=data.shape[0], data=_frozen(data),
+        return SampleBatch(dim=data.shape[1], count=data.shape[0], data=_read_only(data),
                            seed=self.seed, stream_id=self.stream_id, label=label)
 
 
@@ -217,24 +252,18 @@ def split_covariance(cov: CovarianceSpec) -> CovarianceSplit:
     return CovarianceSplit(a=a, residual=residual)
 
 
-def _fill_chunks(out: np.ndarray, seed, stream_id, lane, factor, threads: int) -> None:
+def _fill_chunks(out: np.ndarray, seed, stream_id, lane, product, threads: int) -> None:
+    """Standard normal chunks z, stored as product(z) unless product is None."""
     count, n = out.shape
-    starts = range(0, count, CHUNK_SIZE)
 
     def work(chunk_index_lo):
         chunk_index, lo = chunk_index_lo
         hi = min(lo + CHUNK_SIZE, count)
         rng = substream(seed, stream_id, lane, chunk_index)
         z = rng.standard_normal((hi - lo, n))
-        out[lo:hi] = z if factor is None else z @ factor.T
+        out[lo:hi] = z if product is None else product(z)
 
-    jobs = list(enumerate(starts))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, jobs))
-    else:
-        for job in jobs:
-            work(job)
+    thread_map(work, list(enumerate(range(0, count, CHUNK_SIZE))), threads)
 
 
 def sample_gaussian(cov: CovarianceSpec, count: int, seed: int, stream_id: int,
@@ -247,8 +276,8 @@ def sample_gaussian(cov: CovarianceSpec, count: int, seed: int, stream_id: int,
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
     data = np.empty((count, cov.dim))
-    _fill_chunks(data, seed, stream_id, _LANE_DIRECT, cov.sampling_factor, threads)
-    return SampleBatch(dim=cov.dim, count=count, data=_frozen(data),
+    _fill_chunks(data, seed, stream_id, _LANE_DIRECT, cov.factor_product, threads)
+    return SampleBatch(dim=cov.dim, count=count, data=_read_only(data),
                        seed=int(seed), stream_id=int(stream_id), label="direct")
 
 
@@ -265,9 +294,9 @@ def sample_split_gaussian(split: CovarianceSplit, count: int, seed: int, stream_
     z = np.empty((count, n))
     _fill_chunks(z, seed, stream_id, _LANE_SPLIT_Z, None, threads)
     g = np.empty((count, n))
-    _fill_chunks(g, seed, stream_id, _LANE_SPLIT_G, split.residual.sampling_factor, threads)
-    z_batch = SampleBatch(dim=n, count=count, data=_frozen(z),
+    _fill_chunks(g, seed, stream_id, _LANE_SPLIT_G, split.residual.factor_product, threads)
+    z_batch = SampleBatch(dim=n, count=count, data=_read_only(z),
                           seed=int(seed), stream_id=int(stream_id), label="split-z")
-    g_batch = SampleBatch(dim=n, count=count, data=_frozen(g),
+    g_batch = SampleBatch(dim=n, count=count, data=_read_only(g),
                           seed=int(seed), stream_id=int(stream_id), label="split-g")
     return z_batch, g_batch

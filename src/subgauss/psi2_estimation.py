@@ -2,9 +2,11 @@
 
 Scalar norm: the Orlicz form inf{t > 0 : E exp(X^2/t^2) <= 2}.  The raw
 empirical-mean criterion has heavy sample variance near the true root, so the
-estimator bisects on the bootstrap-median criterion instead: it solves the
-criterion for each of 200 multinomial resamples (a vectorized bisection) and
-reports the median root, with a percentile interval from the same roots.
+estimator solves the bootstrap-median criterion instead: it solves the
+criterion for each of 200 multinomial resamples and reports the median root,
+with a percentile interval from the same roots.  The roots come from one
+vectorized, safeguarded Newton solve on the log criterion in u = 1/t^2; each
+returned t is on the conservative side, where the criterion is at most 2.
 
 Resample criteria are evaluated on a compressed support: exact value counts
 when the sample has few distinct values (sign data is the common case here),
@@ -15,7 +17,10 @@ below the bootstrap noise at the default resolutions.
 Vector norm: maximum of the scalar norm over a declared direction set
 (canonical basis + normalized all-ones + seeded random unit vectors, plus an
 optional coordinate-ascent polish).  The search is a lower bound on the true
-supremum over the sphere and is reported with its direction count.
+supremum over the sphere and is reported with its direction count.  One
+kernel, `scan_directions`, runs every such scan: it projects the directions in
+blocks of bounded memory, solves each block's roots together and spreads the
+blocks over worker threads.
 """
 
 from __future__ import annotations
@@ -27,14 +32,19 @@ from typing import Optional
 import numpy as np
 
 from .errors import GridTooWide, InsufficientSamples, ValidationError
-from .gaussian_core import SampleBatch, substream
+from .gaussian_core import SampleBatch, subseed, substream, thread_map
 
 RESAMPLES = 200          # bootstrap resamples for medians and 95% percentile CIs
 SCALAR_BINS = 4096       # support compression for the standalone scalar estimator
 SCAN_BINS = 256          # support compression inside direction scans
-BISECT_ITERS = 48        # fixed-count bisection on t in (0, 10*max|x|]
 ZERO_TOL = 1e-12         # |x| at or below this counts as almost-surely zero
 MGF_EXP_GUARD = 30.0     # reject grids with lambda * max|x| above this
+NEWTON_TOL = 1e-14       # relative Newton step that ends a root solve; also the
+                         # relative margin added to each root
+NEWTON_MAX_ITERS = 50    # a row whose step stalls at rounding level stops here
+SCAN_BLOCK_BYTES = 2**26  # working-set budget of one block of directions in a scan
+
+_LOG2 = math.log(2.0)
 
 _TAG_SCALAR = 101
 _TAG_MGF = 102
@@ -72,6 +82,19 @@ class MgfFit:
     slacks: np.ndarray    # per-lambda bootstrap band above the point estimate
 
 
+@dataclass(frozen=True)
+class ScanResult:
+    """Largest Orlicz estimate over a direction set, where it was attained, and
+    (when a lambda grid was given) the largest fitted MGF sigma."""
+
+    value: float
+    ci_low: float
+    ci_high: float
+    direction: np.ndarray
+    n_directions: int
+    mgf_sigma_max: Optional[float] = None
+
+
 def _compress(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
     """(representatives, counts): exact uniques if few, else uniform-bin means."""
     uniq, counts = np.unique(values, return_counts=True)
@@ -91,47 +114,95 @@ def _resample_counts(counts: np.ndarray, n: int, rng: np.random.Generator,
     return rng.multinomial(n, p, size=resamples)
 
 
-def _orlicz_roots(reps_sq: np.ndarray, weights: np.ndarray, n: int, hi: float) -> np.ndarray:
-    """Roots of mean exp(s/t^2) = 2 for each weight row, by vectorized bisection.
+def _orlicz_roots(reps_sq: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Roots t of sum_k(w * exp(s / t^2)) / n = 2 for each weight row.
 
-    Returns the upper bisection endpoints, i.e. the smallest bracketed t with
-    criterion <= 2 for each row.
+    reps_sq holds the support points s, shape (K, ...); weights the counts w,
+    shape (K, ..., R), each of their R rows summing to n.  Returns roots of
+    shape (..., R).  The support axis leads, so every sum over it adds the
+    terms in support order: zero-weight padding then leaves the sums exactly
+    unchanged, and a sample's roots do not depend on the samples solved with it.
+
+    Safeguarded Newton on K(u) = log(sum(w exp(s u)) / n) - log 2 in u = 1/t^2.
+    K + log 2 is convex and increasing with value 0 at u = 0, so Newton started
+    right of the root decreases monotonically onto it.  Two starts are right of
+    the root: the zero of the tangent at u = 0, and the u at which the row's
+    largest drawn support point (weight >= 1) reaches the criterion alone; the
+    smaller one is used, which also keeps every exponent below log(2n).  A row
+    stops when its step falls to NEWTON_TOL relative, or after
+    NEWTON_MAX_ITERS steps when rounding keeps it from settling.  Each t is then
+    raised by the relative margin NEWTON_TOL and checked, and a t whose
+    criterion still evaluates above 2 is raised again by a doubling margin: the
+    criterion at a returned t evaluates <= 2, the conservative side.  A row
+    whose weight all sits on s = 0 meets the criterion for every t and gets
+    t = 0.
     """
-    rows = weights.shape[0]
-    if hi <= 0.0:
-        return np.zeros(rows)
-    lo = np.zeros(rows)
-    top = np.full(rows, hi)
-    for _ in range(BISECT_ITERS):
-        mid = 0.5 * (lo + top)
-        expo = np.minimum(reps_sq[None, :] / (mid * mid)[:, None], 700.0)
-        crit = (weights * np.exp(expo)).sum(axis=1) / n
-        too_small = crit > 2.0
-        lo = np.where(too_small, mid, lo)
-        top = np.where(too_small, top, mid)
-    return top
+    w = np.asarray(weights, dtype=float)
+    # Support points a row does not draw play no part in its criterion.
+    s = np.where(w > 0.0, np.asarray(reps_sq, dtype=float)[..., None], 0.0)
+    ws = w * s
+    top = s.max(axis=0)
+    live = top > 0.0
+    u = np.where(live, np.minimum(
+        _LOG2 * n / np.where(live, ws.sum(axis=0), 1.0),
+        (_LOG2 + math.log(n)) / np.where(live, top, 1.0)), 0.0)
+    active = live
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(NEWTON_MAX_ITERS):
+            e = np.exp(s * u)
+            m = (w * e).sum(axis=0)
+            step = (np.log(m / n) - _LOG2) * m / (ws * e).sum(axis=0)
+            u = np.where(active, u - step, u)
+            active = active & (np.abs(step) > NEWTON_TOL * u)
+            if not active.any():
+                break
+        t = np.where(live, (1.0 + NEWTON_TOL) / np.sqrt(u), 0.0)
+        margin = NEWTON_TOL
+        while True:  # ends: the criterion falls as t grows, and the raise doubles
+            crit = (w * np.exp(s / (t * t))).sum(axis=0) / n
+            low = live & (crit > 2.0)
+            if not low.any():
+                return t
+            t = np.where(low, t * (1.0 + margin), t)
+            margin *= 2.0
 
 
-def _orlicz_estimate(x: np.ndarray, rng: np.random.Generator, bins: int,
-                     resamples: int) -> tuple[float, float, float]:
-    """(median root, ci_low, ci_high) of the bootstrap-median Orlicz criterion."""
-    max_abs = float(np.max(np.abs(x)))
-    if max_abs <= ZERO_TOL:
-        return 0.0, 0.0, 0.0
-    reps, counts = _compress(x * x, bins)
-    weights = _resample_counts(counts, len(x), rng, resamples)
-    roots = _orlicz_roots(reps, weights, len(x), 10.0 * max_abs)
-    lo, hi = np.percentile(roots, [2.5, 97.5])
-    return float(np.median(roots)), float(lo), float(hi)
+def _orlicz_estimate(samples, rngs, bins: int, resamples: int) -> np.ndarray:
+    """(median root, ci_low, ci_high) of the bootstrap-median Orlicz criterion,
+    one row per sample, with the roots of every sample solved together.
+
+    Sample i is compressed and resampled with its own generator rngs[i]; an
+    almost-surely-zero sample gives zeros and draws nothing.  All samples have
+    the same length.
+    """
+    out = np.zeros((len(samples), 3))
+    rows, supports = [], []
+    for i, (x, rng) in enumerate(zip(samples, rngs)):
+        if float(np.max(np.abs(x))) <= ZERO_TOL:
+            continue
+        reps, counts = _compress(x * x, bins)
+        rows.append(i)
+        supports.append((reps, _resample_counts(counts, len(x), rng, resamples)))
+    if not rows:
+        return out
+    width = max(len(reps) for reps, _ in supports)
+    reps_sq = np.zeros((width, len(rows)))
+    weights = np.zeros((width, len(rows), resamples))
+    for j, (reps, counts) in enumerate(supports):
+        reps_sq[:len(reps), j] = reps
+        weights[:len(reps), j] = counts.T
+    roots = _orlicz_roots(reps_sq, weights, len(samples[0]))
+    out[rows, 0] = np.median(roots, axis=-1)
+    out[rows, 1:] = np.percentile(roots, [2.5, 97.5], axis=-1).T
+    return out
 
 
 def _orlicz_point(x: np.ndarray, bins: int) -> float:
     """Plain empirical-mean Orlicz root (no bootstrap); polish objective."""
-    max_abs = float(np.max(np.abs(x)))
-    if max_abs <= ZERO_TOL:
+    if float(np.max(np.abs(x))) <= ZERO_TOL:
         return 0.0
     reps, counts = _compress(x * x, bins)
-    return float(_orlicz_roots(reps, counts[None, :], len(x), 10.0 * max_abs)[0])
+    return float(_orlicz_roots(reps, counts[:, None], len(x))[0])
 
 
 def psi2_scalar(samples, *, seed: int = 0, bins: int = SCALAR_BINS,
@@ -144,9 +215,8 @@ def psi2_scalar(samples, *, seed: int = 0, bins: int = SCALAR_BINS,
     x = np.asarray(samples, dtype=float).ravel()
     if len(x) < 1000:
         raise InsufficientSamples(f"need at least 1000 samples, got {len(x)}")
-    rng = substream(seed, _TAG_SCALAR)
-    value, lo, hi = _orlicz_estimate(x, rng, bins, resamples)
-    return Psi2Estimate(value=value, ci_low=lo, ci_high=hi,
+    value, lo, hi = _orlicz_estimate([x], [substream(seed, _TAG_SCALAR)], bins, resamples)[0]
+    return Psi2Estimate(value=float(value), ci_low=float(lo), ci_high=float(hi),
                         estimator="orlicz", n_samples=len(x))
 
 
@@ -176,12 +246,9 @@ def mgf_sigma(samples, lambda_grid, *, seed: int = 0, bins: int = SCALAR_BINS,
 
     log_means = np.array([math.log(np.exp(l * x).mean()) for l in grid])
     reps, counts = _compress(x, bins)
-    rng = substream(seed, _TAG_MGF)
-    weights = _resample_counts(counts, len(x), rng, resamples)
-    bands = np.empty(len(grid))
-    for j, l in enumerate(grid):
-        means = (weights * np.exp(l * reps)[None, :]).sum(axis=1) / len(x)
-        bands[j] = np.percentile(np.log(means), 97.5)
+    weights = _resample_counts(counts, len(x), substream(seed, _TAG_MGF), resamples)
+    means = weights @ np.exp(np.outer(reps, grid)) / len(x)
+    bands = np.percentile(np.log(means), 97.5, axis=0)
     sigma = float(np.sqrt(np.max(2.0 * np.clip(bands, 0.0, None) / grid**2)))
     margins = log_means - 0.5 * sigma**2 * grid**2
     return MgfFit(sigma=sigma, lambda_grid=grid, margins=margins,
@@ -200,6 +267,58 @@ def direction_set(n: int, n_random: int, rng: np.random.Generator) -> np.ndarray
         randoms[i] = v / np.linalg.norm(v)
     rows.append(randoms)
     return np.vstack(rows)
+
+
+def scan_directions(y: np.ndarray, n_random: int, seed: int, stream_id: int, tags: tuple,
+                    *, lambda_grid=None, bins: int = SCAN_BINS, resamples: int = RESAMPLES,
+                    threads: int = 1) -> ScanResult:
+    """Max bootstrap Orlicz estimate of the projections y @ v over the canonical
+    + all-ones + n_random random direction set, and with a lambda grid the max
+    fitted MGF sigma over the same set.
+
+    tags = (direction tag, bootstrap tag, MGF tag) name the substreams: the set
+    is drawn from substream(seed, stream_id, direction tag), direction d
+    resamples from substream(seed, stream_id, bootstrap tag, d) and fits its
+    MGF with seed subseed(seed, stream_id, MGF tag, d), so its draws do not
+    depend on the budget and the estimate does not fall as the budget grows.
+
+    Directions go in fixed blocks whose working set fits SCAN_BLOCK_BYTES, so
+    the full rows x directions projection is never built.  Blocks run on
+    `threads` workers and are reduced in direction order, the first maximum
+    winning ties: the result is the same for any thread count.  (A block's
+    product can round its last bits differently when its width changes, which
+    only the last block of a smaller budget sees.)
+    """
+    rows, n = y.shape
+    dir_tag, boot_tag, mgf_tag = tags
+    dirs = direction_set(n, n_random, substream(seed, stream_id, dir_tag))
+    # One direction holds its projection and about six resamples x bins arrays
+    # in the root solve.
+    size = max(1, SCAN_BLOCK_BYTES // (8 * (rows + 6 * resamples * bins)))
+    blocks = [range(lo, min(lo + size, len(dirs))) for lo in range(0, len(dirs), size)]
+    # Projecting onto the transpose gives each direction a contiguous row, and
+    # runs the narrow block products about twice as fast as y @ block.T.
+    y_t = np.ascontiguousarray(y.T)
+
+    def work(block):
+        proj = dirs[block.start:block.stop] @ y_t
+        rngs = [substream(seed, stream_id, boot_tag, d) for d in block]
+        estimates = _orlicz_estimate(proj, rngs, bins, resamples)
+        if lambda_grid is None:
+            return estimates, []
+        return estimates, [
+            mgf_sigma(x, lambda_grid, seed=subseed(seed, stream_id, mgf_tag, d),
+                      bins=bins).sigma
+            for x, d in zip(proj, block)]
+
+    results = thread_map(work, blocks, threads)
+    estimates = np.concatenate([est for est, _ in results])
+    best = int(np.argmax(estimates[:, 0]))
+    value, lo, hi = (float(v) for v in estimates[best])
+    sigmas = [sigma for _, block_sigmas in results for sigma in block_sigmas]
+    return ScanResult(value=value, ci_low=lo, ci_high=hi, direction=dirs[best].copy(),
+                      n_directions=len(dirs),
+                      mgf_sigma_max=max(sigmas) if lambda_grid is not None else None)
 
 
 def _polish(y: np.ndarray, v0: np.ndarray, bins: int, sweeps: int = 50,
@@ -238,13 +357,13 @@ def _polish(y: np.ndarray, v0: np.ndarray, bins: int, sweeps: int = 50,
 
 def psi2_vector(batch: SampleBatch, direction_budget: int, refine: bool,
                 *, center: bool = True, bins: int = SCAN_BINS,
-                resamples: int = RESAMPLES) -> Psi2Estimate:
+                resamples: int = RESAMPLES, threads: int = 1) -> Psi2Estimate:
     """Maximum scalar norm over the declared direction set of a vector batch.
 
     Requires at least 1e4 rows and a random-direction budget of at least the
     dimension.  Per-direction bootstrap substreams are derived from the batch
     seed, so estimates are reproducible for any evaluation schedule and never
-    decrease when the direction set grows.
+    decrease when the direction set grows.  `threads` changes speed only.
     """
     if batch.count < 10_000:
         raise InsufficientSamples(f"need at least 1e4 draws, got {batch.count}")
@@ -261,21 +380,17 @@ def psi2_vector(batch: SampleBatch, direction_budget: int, refine: bool,
                             n_directions=n + 1 + direction_budget,
                             argmax_direction=ones)
 
-    dirs = direction_set(n, direction_budget, substream(batch.seed, batch.stream_id, _TAG_DIRS))
-    proj = y @ dirs.T
-    best_value, best_idx, best_ci = -1.0, 0, (0.0, 0.0)
-    for d in range(dirs.shape[0]):
-        rng = substream(batch.seed, batch.stream_id, _TAG_DIRBOOT, d)
-        value, lo, hi = _orlicz_estimate(proj[:, d], rng, bins, resamples)
-        if value > best_value:
-            best_value, best_idx, best_ci = value, d, (lo, hi)
-    best_dir = dirs[best_idx].copy()
-    n_dirs = dirs.shape[0]
+    scan = scan_directions(y, direction_budget, batch.seed, batch.stream_id,
+                           (_TAG_DIRS, _TAG_DIRBOOT, None), bins=bins,
+                           resamples=resamples, threads=threads)
+    best_value, best_ci, best_dir = scan.value, (scan.ci_low, scan.ci_high), scan.direction
+    n_dirs = scan.n_directions
 
     if refine:
         polished = _polish(y, best_dir, bins)
         rng = substream(batch.seed, batch.stream_id, _TAG_POLISH)
-        value, lo, hi = _orlicz_estimate(y @ polished, rng, bins, resamples)
+        value, lo, hi = (float(v) for v in
+                         _orlicz_estimate([y @ polished], [rng], bins, resamples)[0])
         n_dirs += 1
         if value > best_value:
             best_value, best_ci, best_dir = value, (lo, hi), polished

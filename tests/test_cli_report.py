@@ -135,6 +135,14 @@ class TestRunCli:
         b = (tmp_path / "b" / "counterexample.csv").read_bytes()
         assert a == b
 
+    def test_theorem_byte_identical_across_threads(self, tmp_path):
+        args = ["theorem", "--maps", "sgn,clamp", "--dims", "4,16", "--kappas", "4",
+                "--samples", "10000", "--seed", "3"]
+        for threads in ("1", "3"):
+            assert run_cli(args + ["--threads", threads, "--out", str(tmp_path / threads)]) in (0, 1)
+        for name in ("theorem.csv", "theorem_curves.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
+
     def test_seed_changes_output(self, tmp_path):
         # counterexample values are exact closed forms, so probe seed
         # sensitivity on an experiment with genuine sampling noise

@@ -149,6 +149,42 @@ class TestSampleGaussian:
             sample_gaussian(CovarianceSpec.identity(2), 0, seed=0, stream_id=0)
 
 
+class TestFactorProduct:
+    """The structured products are bit-identical to the dense z @ factor.T."""
+
+    @pytest.mark.parametrize("make, n", [
+        (CovarianceSpec.identity, 16), (CovarianceSpec.identity, 256),
+        (CovarianceSpec.rank_one_ones, 16), (CovarianceSpec.rank_one_ones, 64),
+        (CovarianceSpec.rank_one_ones, 256),
+        (lambda n: CovarianceSpec.diagonal(np.arange(1.0, n + 1.0)), 16),
+        (lambda n: wishart_spec(n, n, seed=13), 16),
+    ])
+    def test_matches_dense_product(self, make, n):
+        cov = make(n)
+        z = substream(14, "factor-product", n).standard_normal((CHUNK_SIZE, n))
+        np.testing.assert_array_equal(cov.factor_product(z), z @ cov.sampling_factor.T)
+
+    def test_identity_factor_is_a_permutation(self):
+        # tied eigenvalues are reordered, so the factor is not eye(n)
+        factor = CovarianceSpec.identity(16).sampling_factor
+        np.testing.assert_array_equal(np.sort(factor, axis=1)[:, -1], np.ones(16))
+        np.testing.assert_array_equal(factor.sum(axis=0), np.ones(16))
+
+
+class TestSampleBatchData:
+    def test_sampled_data_is_read_only(self):
+        batch = sample_gaussian(CovarianceSpec.identity(3), 100, seed=1, stream_id=0)
+        assert not batch.data.flags.writeable
+
+    def test_with_data_shares_memory_and_leaves_caller_writable(self):
+        batch = sample_gaussian(CovarianceSpec.identity(3), 100, seed=1, stream_id=0)
+        mapped = np.sign(batch.data)
+        derived = batch.with_data(mapped, "sgn")
+        assert not derived.data.flags.writeable
+        assert np.shares_memory(derived.data, mapped)
+        assert mapped.flags.writeable
+
+
 class TestSampleSplitGaussian:
     def test_identity_residual_is_zero(self):
         split = split_covariance(CovarianceSpec.identity(5))

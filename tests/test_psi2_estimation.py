@@ -9,6 +9,10 @@ from subgauss.errors import GridTooWide, InsufficientSamples, ValidationError
 from subgauss.gaussian_core import CovarianceSpec, SampleBatch, sample_gaussian, substream
 from subgauss.psi2_estimation import (
     Psi2Estimate,
+    _compress,
+    _orlicz_estimate,
+    _orlicz_roots,
+    _resample_counts,
     direction_set,
     mgf_sigma,
     psi2_scalar,
@@ -70,6 +74,81 @@ class TestPsi2Scalar:
         a = psi2_scalar(x, seed=3)
         b = psi2_scalar(x, seed=3)
         assert (a.value, a.ci_low, a.ci_high) == (b.value, b.ci_low, b.ci_high)
+
+
+def criterion(reps_sq, weights, n, t):
+    """mean of exp(s / t^2) per weight column; weights has shape (K, R)."""
+    expo = np.minimum(reps_sq[:, None] / (t * t)[None, :], 700.0)
+    return (weights * np.exp(expo)).sum(axis=0) / n
+
+
+def reference_roots(reps_sq, weights, n, iters=48):
+    """Fixed-count bisection on t in (0, 10 max sqrt(s)]: the upper endpoints,
+    where the criterion is <= 2.  Reference for the Newton solver."""
+    lo = np.zeros(weights.shape[1])
+    top = np.full(weights.shape[1], 10.0 * math.sqrt(reps_sq.max()))
+    for _ in range(iters):
+        mid = 0.5 * (lo + top)
+        too_small = criterion(reps_sq, weights, n, mid) > 2.0
+        lo = np.where(too_small, mid, lo)
+        top = np.where(too_small, top, mid)
+    return top
+
+
+def bootstrap_support(kind, count=20_000, resamples=50):
+    rng = substream(31, "roots", kind)
+    x = {
+        "binned-gaussian": lambda: rng.standard_normal(count),
+        "binned-heavy": lambda: rng.standard_t(3, count),
+        "binned-clipped": lambda: np.clip(2.0 * rng.standard_normal(count), -1.0, 1.0) + 0.3,
+        "exact-three-point": lambda: rng.choice([-1.0, 0.5, 2.0], count),
+        "exact-sparse": lambda: np.where(rng.random(count) < 1e-3, 40.0, 0.01),
+    }[kind]()
+    reps, counts = _compress(x * x, 256)
+    weights = _resample_counts(counts, count, substream(32, kind), resamples).T
+    return reps, weights, count
+
+
+SUPPORTS = ("binned-gaussian", "binned-heavy", "binned-clipped",
+            "exact-three-point", "exact-sparse")
+
+
+class TestOrliczRoots:
+    @pytest.mark.parametrize("kind", SUPPORTS)
+    def test_matches_reference_bisection(self, kind):
+        reps, weights, n = bootstrap_support(kind)
+        roots = _orlicz_roots(reps, weights, n)
+        reference = reference_roots(reps, weights, n)
+        np.testing.assert_allclose(roots, reference, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", SUPPORTS)
+    def test_criterion_at_most_two(self, kind):
+        reps, weights, n = bootstrap_support(kind)
+        roots = _orlicz_roots(reps, weights, n)
+        assert np.all(criterion(reps, weights, n, roots) <= 2.0)
+
+    @pytest.mark.parametrize("s", (1e-6, 1.0, 3.5, 1e4))
+    def test_single_point_support(self, s):
+        roots = _orlicz_roots(np.array([s]), np.full((1, 7), 500.0), 500)
+        np.testing.assert_allclose(roots, math.sqrt(s / math.log(2.0)), rtol=1e-12)
+
+    def test_all_weight_at_zero_gives_zero(self):
+        reps = np.array([0.0, 4.0])
+        weights = np.array([[100.0, 90.0], [0.0, 10.0]])  # row 0 draws only s = 0
+        roots = _orlicz_roots(reps, weights, 100)
+        assert roots[0] == 0.0
+        assert roots[1] > 0.0
+        assert _orlicz_roots(np.array([0.0]), np.full((1, 3), 100.0), 100).tolist() == [0.0] * 3
+
+    def test_samples_solved_together_match_solved_alone(self):
+        # a scan's numbers must not depend on which directions share a block
+        rng = substream(33, "together")
+        samples = [rng.standard_normal(5000), np.sign(rng.standard_normal(5000)),
+                   np.zeros(5000), rng.uniform(-1.0, 1.0, 5000)]
+        together = _orlicz_estimate(samples, [substream(34, i) for i in range(4)], 256, 40)
+        for i, x in enumerate(samples):
+            alone = _orlicz_estimate([x], [substream(34, i)], 256, 40)
+            np.testing.assert_array_equal(together[i], alone[0])
 
 
 class TestMgfSigma:
@@ -173,6 +252,15 @@ class TestPsi2Vector:
         polished = psi2_vector(batch, 6, refine=True)
         assert polished.value >= plain.value - 1e-12
         assert polished.n_directions == plain.n_directions + 1
+
+    def test_thread_count_invariance(self):
+        # several direction blocks, so the threads really share the scan
+        y = substream(14, "vec-threads").standard_normal((2 * 10**4, 8))
+        batch = make_batch(np.clip(y, -1.5, 1.5), seed=5)
+        one = psi2_vector(batch, 48, refine=False, threads=1)
+        three = psi2_vector(batch, 48, refine=False, threads=3)
+        assert (one.value, one.ci_low, one.ci_high) == (three.value, three.ci_low, three.ci_high)
+        np.testing.assert_array_equal(one.argmax_direction, three.argmax_direction)
 
     def test_deterministic_given_seed(self):
         y = np.where(substream(13, "vec-det").random((10**4, 4)) < 0.5, -1.0, 1.0)
