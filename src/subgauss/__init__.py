@@ -36,7 +36,6 @@ from .psi2_estimation import (
     mgf_sigma,
     psi2_scalar,
     psi2_vector,
-    triangle_combine,
 )
 
 __version__ = "0.1.0"
@@ -71,6 +70,5 @@ __all__ = [
     "smoothed_mean",
     "smoothed_mean_derivative",
     "split_covariance",
-    "triangle_combine",
     "__version__",
 ]

@@ -27,8 +27,10 @@ from . import __version__
 from .errors import IoError, SchemaError, SubgaussError, ValidationError
 from .experiments import (
     CorollaryConfig,
+    CounterexampleConfig,
     ExperimentReport,
     TheoremConfig,
+    WishartConfig,
     merge_reports,
     run_corollary_experiment,
     run_counterexample,
@@ -40,63 +42,64 @@ from .nonlinearity import get_map, smoothed_mean_quadrature
 from .psi2_estimation import psi2_scalar
 
 DEFAULT_SEED = 42
-EXPERIMENTS = ("theorem", "corollary", "wishart", "counterexample", "all")
 
-DEFAULTS = {
-    "theorem": {"dims": [16, 64, 256], "kappas": [1, 4, 16], "maps": ["sgn", "clamp"],
-                "samples": 100_000, "directions": 64},
-    "corollary": {"dims": [32, 64, 128], "w_draws": 50, "samples": 100_000,
-                  "directions": 32},
-    "wishart": {"dims": [64, 128, 256], "trials": 1000, "threshold": 100.0},
-    "counterexample": {"dims": [16, 64, 256], "samples": 100_000},
-    "all": {},
+# The parameters of each study: key -> (kind, default).  A kind is "int",
+# "num" (an int or a float), "str" or a list of one of these ("[int]"); it alone
+# fixes the JSON type check, the flag (--w-draws for w_draws) and the help line.
+# Value limits are checked by the study's config dataclass in experiments.
+STUDIES = {
+    "theorem": {"dims": ("[int]", [16, 64, 256]), "kappas": ("[num]", [1, 4, 16]),
+                "maps": ("[str]", ["sgn", "clamp"]), "samples": ("int", 100_000),
+                "directions": ("int", 64)},
+    "corollary": {"dims": ("[int]", [32, 64, 128]), "w_draws": ("int", 50),
+                  "samples": ("int", 100_000), "directions": ("int", 32)},
+    "wishart": {"dims": ("[int]", [64, 128, 256]), "trials": ("int", 1000),
+                "threshold": ("num", 100.0)},
+    "counterexample": {"dims": ("[int]", [16, 64, 256]), "samples": ("int", 100_000)},
 }
+_COMMON = {"seed": ("int", None), "format": ("str", "csv"), "output_dir": ("str", "out")}
+_KINDS = {"int": ((int,), int), "num": ((int, float), float), "str": ((str,), str)}
+EXPERIMENTS = (*STUDIES, "all")
 
-_SCHEMA = {
-    "theorem": {"dims": list, "kappas": list, "maps": list, "samples": int,
-                "directions": int},
-    "corollary": {"dims": list, "w_draws": int, "samples": int, "directions": int},
-    "wishart": {"dims": list, "trials": int, "threshold": (int, float)},
-    "counterexample": {"dims": list, "samples": int},
-    "all": {},
-}
-_COMMON_KEYS = {"experiment": str, "seed": int, "format": str, "output_dir": str}
-
-SCHEMA_HELP = """\
-Config file schema (strict JSON object; unknown keys are errors):
-  common:          experiment (one of %s), seed (int),
-                   format ("csv" | "json"), output_dir (str)
-  theorem:         dims [int], kappas [num >= 1], maps [str], samples (int >= 1e4),
-                   directions (int)
-  corollary:       dims [int], w_draws (int >= 20), samples (int >= 1e4),
-                   directions (int)
-  wishart:         dims [int], trials (int >= 100), threshold (num)
-  counterexample:  dims [>= 3 ints spanning a factor >= 8], samples (int)
-""" % (", ".join(EXPERIMENTS))
+SCHEMA_HELP = "\n".join([
+    "Config file schema (strict JSON object; unknown keys are errors):",
+    f"  common:          experiment (one of {', '.join(EXPERIMENTS)}),\n{'':19}"
+    + ", ".join(f"{key} ({kind})" for key, (kind, _) in _COMMON.items()),
+    *(f"  {name + ':':<17}" + ", ".join(
+        f"{key} {kind}" if kind.startswith("[") else f"{key} ({kind})"
+        for key, (kind, _) in params.items()) for name, params in STUDIES.items()),
+    "A num is an int or a float, never a bool.  An error names the limit it breaks.", ""])
 
 
-def _env_seed() -> int:
-    raw = os.environ.get("SUBGAUSS_SEED")
-    if raw is None:
-        return DEFAULT_SEED
+def _check_kind(key: str, kind: str, value) -> None:
+    types = _KINDS[kind.strip("[]")][0]
+    items = value if kind.startswith("[") else [value]
+    if not isinstance(items, list) or any(
+            isinstance(v, bool) or not isinstance(v, types) for v in items):
+        raise ValidationError(f"key {key!r} must be {kind}, got {value!r}")
+
+
+def _flag_type(kind: str):
+    parse = _KINDS[kind.strip("[]")][1]
+    if not kind.startswith("["):
+        return parse
+
+    def parse_list(text: str) -> list:
+        return [parse(tok) for tok in text.split(",") if tok]
+
+    parse_list.__name__ = kind  # argparse names the type in its error message
+    return parse_list
+
+
+def _env_int(name: str, default: int) -> int:
     try:
-        return int(raw)
+        return int(os.environ.get(name, default))
     except ValueError as exc:
-        raise ValidationError(f"SUBGAUSS_SEED must be an integer, got {raw!r}") from exc
-
-
-def _env_threads() -> int:
-    raw = os.environ.get("SUBGAUSS_THREADS")
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise ValidationError(f"SUBGAUSS_THREADS must be an integer, got {raw!r}") from exc
+        raise ValidationError(f"{name} must be an integer, got {os.environ[name]!r}") from exc
 
 
 class RunConfig:
-    """Validated run description: experiment, parameters, output options."""
+    """A validated run: experiment, parameters, output options and study configs."""
 
     def __init__(self, experiment: str, parameters: dict, output_dir: str = "out",
                  seed: int | None = None, format: str = "csv"):
@@ -108,104 +111,75 @@ class RunConfig:
         self.experiment = experiment
         self.parameters = dict(parameters)
         self.output_dir = str(output_dir)
-        self.seed = _env_seed() if seed is None else int(seed)
+        self.seed = _env_int("SUBGAUSS_SEED", DEFAULT_SEED) if seed is None else int(seed)
         self.format = format
-        build_experiment_configs(self)  # eager precondition check
+        self.configs = build_experiment_configs(self)  # every precondition, up front
 
     def __eq__(self, other):
         return isinstance(other, RunConfig) and self.echo() == other.echo()
 
     def echo(self) -> dict:
-        return {"experiment": self.experiment, **self.parameters,
-                "seed": self.seed, "format": self.format,
-                "output_dir": self.output_dir}
+        return {"experiment": self.experiment, **self.parameters, "seed": self.seed,
+                "format": self.format, "output_dir": self.output_dir}
 
 
-def parse_config(file_contents: str) -> RunConfig:
-    """Parse a strict-schema JSON config into a validated RunConfig."""
+def _read_config(file_contents: str) -> tuple[str, dict]:
+    """The experiment and the type-checked keys of a strict-schema JSON config."""
     try:
         doc = json.loads(file_contents)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"config must be a JSON object, got {type(doc).__name__}")
-    experiment = doc.get("experiment")
+    experiment = doc.pop("experiment", None)
     if experiment is None:
         raise SchemaError("missing required key 'experiment'")
-    if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
-        raise ValidationError(
-            f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
-    allowed = dict(_SCHEMA[experiment])
-    allowed.update({k: (int,) if k == "seed" else str for k in _COMMON_KEYS})
-    params = {}
-    common = {}
+    if experiment not in EXPERIMENTS:
+        raise ValidationError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
+    table = {**STUDIES.get(experiment, {}), **_COMMON}
     for key, value in doc.items():
-        if key == "experiment":
-            continue
-        if key not in allowed:
+        if key not in table:
             raise SchemaError(f"unknown key {key!r} for experiment {experiment!r}")
-        expected = allowed[key]
-        if key == "seed":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"key 'seed' must be an integer, got {value!r}")
-            common[key] = value
-        elif key in ("format", "output_dir"):
-            if not isinstance(value, str):
-                raise ValidationError(f"key {key!r} must be a string, got {value!r}")
-            common[key] = value
-        else:
-            if not isinstance(value, expected if isinstance(expected, tuple) else (expected,)):
-                raise ValidationError(
-                    f"key {key!r} has wrong type: expected {expected}, got {value!r}")
-            params[key] = value
-    return RunConfig(experiment, params,
-                     output_dir=common.get("output_dir", "out"),
-                     seed=common.get("seed"),
-                     format=common.get("format", "csv"))
+        _check_kind(key, table[key][0], value)
+    return experiment, doc
 
 
-def _params_with_defaults(experiment: str, params: dict) -> dict:
-    merged = dict(DEFAULTS[experiment])
-    merged.update({k: v for k, v in params.items() if v is not None})
-    return merged
+def _run_config(experiment: str, values: dict) -> RunConfig:
+    common = {key: values.pop(key, default) for key, (_, default) in _COMMON.items()}
+    return RunConfig(experiment, values, **common)
+
+
+def parse_config(file_contents: str) -> RunConfig:
+    """Parse a strict-schema JSON config into a validated RunConfig."""
+    return _run_config(*_read_config(file_contents))
 
 
 def build_experiment_configs(run: RunConfig) -> dict:
-    """Expand a RunConfig into the module-level config objects, validating
-    every precondition eagerly."""
+    """Expand a RunConfig into the studies' config objects, whose construction
+    checks every precondition."""
     out = {}
-    names = EXPERIMENTS[:-1] if run.experiment == "all" else (run.experiment,)
-    for name in names:
-        p = _params_with_defaults(name, run.parameters if run.experiment != "all" else {})
+    for name in STUDIES if run.experiment == "all" else (run.experiment,):
+        p = {**{key: default for key, (_, default) in STUDIES[name].items()}, **run.parameters}
         if name == "theorem":
             out[name] = tuple(
-                TheoremConfig(dims=tuple(int(n) for n in p["dims"]),
-                              kappas=tuple(float(k) for k in p["kappas"]),
-                              map_name=str(m), samples_per_cell=int(p["samples"]),
-                              directions=int(p["directions"]), seed=run.seed)
+                TheoremConfig(dims=tuple(p["dims"]), kappas=tuple(map(float, p["kappas"])),
+                              map_name=m, samples_per_cell=p["samples"],
+                              directions=p["directions"], seed=run.seed)
                 for m in p["maps"])
         elif name == "corollary":
-            out[name] = CorollaryConfig(dims=tuple(int(n) for n in p["dims"]),
-                                        w_draws=int(p["w_draws"]),
-                                        samples_per_w=int(p["samples"]),
-                                        directions=int(p["directions"]), seed=run.seed)
+            out[name] = CorollaryConfig(dims=tuple(p["dims"]), w_draws=p["w_draws"],
+                                        samples_per_w=p["samples"],
+                                        directions=p["directions"], seed=run.seed)
         elif name == "wishart":
-            if int(p["trials"]) < 100:
-                raise ValidationError(f"trials must be >= 100, got {p['trials']}")
-            out[name] = p
-        elif name == "counterexample":
-            dims = [int(n) for n in p["dims"]]
-            if len(dims) < 3 or max(dims) < 8 * min(dims):
-                raise ValidationError(
-                    f"counterexample dims need >= 3 values spanning a factor >= 8, got {dims}")
-            out[name] = p
+            out[name] = WishartConfig(tuple(p["dims"]), p["trials"], float(p["threshold"]), run.seed)
+        else:
+            out[name] = CounterexampleConfig(tuple(p["dims"]), p["samples"], run.seed)
     return out
 
 
 def run_experiments(run: RunConfig, *, threads: int = 1) -> list[ExperimentReport]:
-    configs = build_experiment_configs(run)
     reports = []
-    for name, cfg in configs.items():
+    for name, cfg in run.configs.items():
         if name == "theorem":
             reports.append(merge_reports(
                 [run_theorem_experiment(c, threads=threads) for c in cfg]))
@@ -213,11 +187,9 @@ def run_experiments(run: RunConfig, *, threads: int = 1) -> list[ExperimentRepor
             reports.append(run_corollary_experiment(cfg, threads=threads))
         elif name == "wishart":
             reports.append(run_wishart_conditioning(
-                cfg["dims"], int(cfg["trials"]), run.seed,
-                threshold=float(cfg["threshold"])))
-        elif name == "counterexample":
-            reports.append(run_counterexample(
-                cfg["dims"], int(cfg["samples"]), run.seed, threads=threads))
+                cfg.dims, cfg.trials, cfg.seed, threshold=cfg.threshold))
+        else:
+            reports.append(run_counterexample(cfg.dims, cfg.samples, cfg.seed, threads=threads))
     return reports
 
 
@@ -361,108 +333,58 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
-
-
-def _str_list(text: str) -> list[str]:
-    return [tok for tok in text.split(",") if tok]
+_COMMAND_HELP = {
+    "theorem": "bounded-map concentration grid",
+    "corollary": "sign-quantized square maps, row partition",
+    "wishart": "half-block conditioning statistics",
+    "counterexample": "rank-one all-ones covariance growth",
+    "all": "run all four studies with defaults",
+    "selftest": "closed-form oracle suite",
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="subgauss", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="master seed (default: SUBGAUSS_SEED or 42)")
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--force", action="store_true",
-                       help="allow overwriting existing output files")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (speed only, never results)")
-
-    p = sub.add_parser("theorem", help="bounded-map concentration grid")
-    add_common(p)
-    p.add_argument("--dims", type=_int_list, default=None)
-    p.add_argument("--kappas", type=_float_list, default=None)
-    p.add_argument("--maps", type=_str_list, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--directions", type=int, default=None)
-
-    p = sub.add_parser("corollary", help="sign-quantized square maps, row partition")
-    add_common(p)
-    p.add_argument("--dims", type=_int_list, default=None)
-    p.add_argument("--w-draws", dest="w_draws", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--directions", type=int, default=None)
-
-    p = sub.add_parser("wishart", help="half-block conditioning statistics")
-    add_common(p)
-    p.add_argument("--dims", type=_int_list, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-
-    p = sub.add_parser("counterexample", help="rank-one all-ones covariance growth")
-    add_common(p)
-    p.add_argument("--dims", type=_int_list, default=None)
-    p.add_argument("--samples", type=int, default=None)
-
-    p = sub.add_parser("all", help="run all four studies with defaults")
-    add_common(p)
-
-    sub.add_parser("selftest", help="closed-form oracle suite")
+    for command, help_text in _COMMAND_HELP.items():
+        p = sub.add_parser(command, help=help_text)
+        if command == "selftest":
+            continue
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--seed", type=int, help="master seed (default: SUBGAUSS_SEED or 42)")
+        p.add_argument("--out", help="output directory")
+        p.add_argument("--format", choices=("csv", "json"))
+        p.add_argument("--force", action="store_true", help="overwrite existing output files")
+        p.add_argument("--threads", type=int, help="worker threads (speed only, never results)")
+        for key, (kind, default) in STUDIES.get(command, {}).items():
+            p.add_argument("--" + key.replace("_", "-"), type=_flag_type(kind),
+                           help=f"{kind}, default {default}")
     return parser
 
 
-_FLAG_PARAMS = {
-    "theorem": ("dims", "kappas", "maps", "samples", "directions"),
-    "corollary": ("dims", "w_draws", "samples", "directions"),
-    "wishart": ("dims", "trials", "threshold"),
-    "counterexample": ("dims", "samples"),
-    "all": (),
-}
-
-
 def _assemble_run_config(args) -> RunConfig:
+    """The config file's keys, overridden by the flags given, as one RunConfig."""
+    values = {}
     if args.config is not None:
         try:
             contents = Path(args.config).read_text()
         except OSError as exc:
             raise IoError(f"cannot read config file {args.config}: {exc}") from exc
-        run = parse_config(contents)
-        if run.experiment != args.command:
+        experiment, values = _read_config(contents)
+        if experiment != args.command:
             raise ValidationError(
-                f"config is for experiment {run.experiment!r} but the "
+                f"config is for experiment {experiment!r} but the "
                 f"{args.command!r} subcommand was invoked")
-        params = dict(run.parameters)
-        seed, fmt, out = run.seed, run.format, run.output_dir
-    else:
-        params, seed, fmt, out = {}, None, "csv", "out"
-    for key in _FLAG_PARAMS[args.command]:
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    if args.seed is not None:
-        seed = args.seed
-    if args.format is not None:
-        fmt = args.format
-    if args.out is not None:
-        out = args.out
-    return RunConfig(args.command, params, output_dir=out, seed=seed, format=fmt)
+    flags = {key: getattr(args, key) for key in STUDIES.get(args.command, {})}
+    flags.update(seed=args.seed, format=args.format, output_dir=args.out)
+    values.update({key: value for key, value in flags.items() if value is not None})
+    return _run_config(args.command, values)
 
 
 def run_cli(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         print(SCHEMA_HELP, file=sys.stderr)
@@ -473,7 +395,7 @@ def run_cli(argv=None) -> int:
 
     try:
         run = _assemble_run_config(args)
-        threads = args.threads if args.threads is not None else _env_threads()
+        threads = _env_int("SUBGAUSS_THREADS", 1) if args.threads is None else args.threads
     except (SchemaError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         print(SCHEMA_HELP, file=sys.stderr)
@@ -495,10 +417,7 @@ def run_cli(argv=None) -> int:
                   f"{n_fail} bound violations")
             all_passed = all_passed and report.all_passed
         return 0 if all_passed else 1
-    except IoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SubgaussError as exc:
+    except SubgaussError as exc:  # IoError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

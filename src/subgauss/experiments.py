@@ -117,6 +117,11 @@ def merge_reports(reports: list) -> ExperimentReport:
 
 # Configs ---------------------------------------------------------------------
 
+def _check_directions(directions: int) -> None:
+    if directions < 0:
+        raise ValidationError(f"directions must be >= 0, got {directions}")
+
+
 @dataclass(frozen=True)
 class TheoremConfig:
     dims: tuple
@@ -134,6 +139,7 @@ class TheoremConfig:
         if self.samples_per_cell < 10_000:
             raise ValidationError(
                 f"samples_per_cell must be >= 1e4, got {self.samples_per_cell}")
+        _check_directions(self.directions)
         get_map(self.map_name)  # fail fast on unknown names
 
 
@@ -153,6 +159,34 @@ class CorollaryConfig:
         if self.samples_per_w < 10_000:
             raise ValidationError(
                 f"samples_per_w must be >= 1e4, got {self.samples_per_w}")
+        _check_directions(self.directions)
+
+
+@dataclass(frozen=True)
+class WishartConfig:
+    dims: tuple
+    trials: int
+    threshold: float
+    seed: int
+
+    def __post_init__(self):
+        if self.trials < 100:
+            raise ValidationError(f"trials must be >= 100, got {self.trials}")
+
+
+@dataclass(frozen=True)
+class CounterexampleConfig:
+    dims: tuple
+    samples: int
+    seed: int
+
+    def __post_init__(self):
+        if len(self.dims) < 3 or max(self.dims) < 8 * min(self.dims):
+            raise ValidationError(
+                f"counterexample dims need >= 3 values spanning a factor >= 8, "
+                f"got {list(self.dims)}")
+        if self.samples < 10_000:  # the floor of psi2_vector
+            raise ValidationError(f"samples must be >= 1e4, got {self.samples}")
 
 
 # Bounds and fixtures ---------------------------------------------------------
@@ -313,14 +347,12 @@ def run_corollary_experiment(cfg: CorollaryConfig, *, threads: int = 1) -> Exper
 
 
 def run_wishart_conditioning(n_list, trials: int, seed: int, *,
-                             threshold: float = EXCEEDANCE_THRESHOLD,
-                             rate_bound: float = EXCEEDANCE_RATE_BOUND) -> ExperimentReport:
+                             threshold: float = EXCEEDANCE_THRESHOLD) -> ExperimentReport:
     """Distribution of kappa(W1 W1^T) for the half-height block of a square
     Gaussian matrix: median, 5th/95th percentiles, and the exceedance rate of
     a configurable threshold as the proxy for the ill-conditioned event."""
-    if trials < 100:
-        raise ValidationError(f"trials must be >= 100, got {trials}")
     n_list = [int(n) for n in n_list]
+    WishartConfig(tuple(n_list), trials, threshold, seed)  # checks the preconditions
     rows = []
     center = 0.5 * (KAPPA_WINDOW[0] + KAPPA_WINDOW[1])
     halfwidth = 0.5 * (KAPPA_WINDOW[1] - KAPPA_WINDOW[0])
@@ -340,7 +372,8 @@ def run_wishart_conditioning(n_list, trials: int, seed: int, *,
             rows.append(ReportRow("wishart", n, None, "kappa_median_dev",
                                   abs(median - center), bound=halfwidth))
         rows.append(ReportRow("wishart", n, None, "kappa_exceed_rate",
-                              float(np.mean(kappas > threshold)), bound=rate_bound))
+                              float(np.mean(kappas > threshold)),
+                              bound=EXCEEDANCE_RATE_BOUND))
     echo = {"dims": n_list, "trials": trials, "threshold": threshold}
     return ExperimentReport("wishart", tuple(rows),
                             report_metadata("wishart", seed, echo))
@@ -354,11 +387,7 @@ def run_counterexample(n_list, samples: int, seed: int, *,
     +-sqrt(n)) and the report carries the fitted log-log slope.
     """
     n_list = [int(n) for n in n_list]
-    if len(n_list) < 3:
-        raise ValidationError(f"need at least 3 dimensions, got {n_list}")
-    if max(n_list) < 8 * min(n_list):
-        raise ValidationError(
-            f"dimensions must span at least a factor of 8, got {n_list}")
+    CounterexampleConfig(tuple(n_list), samples, seed)  # checks the preconditions
     rows = []
     values = []
     for i, n in enumerate(n_list):

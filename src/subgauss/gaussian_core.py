@@ -136,13 +136,6 @@ class CovarianceSpec:
         return cls.from_factors(np.eye(n), np.ones(n), tag="identity", matrix=np.eye(n))
 
     @classmethod
-    def scaled_identity(cls, n: int, c: float) -> "CovarianceSpec":
-        if c < 0:
-            raise ValidationError(f"scale must be nonnegative, got {c}")
-        return cls.from_factors(np.eye(n), np.full(n, float(c)),
-                                tag="scaled-identity", matrix=float(c) * np.eye(n))
-
-    @classmethod
     def diagonal(cls, values) -> "CovarianceSpec":
         v = np.asarray(values, dtype=float)
         order = np.argsort(v)[::-1]

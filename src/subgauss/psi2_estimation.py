@@ -399,7 +399,3 @@ def psi2_vector(batch: SampleBatch, direction_budget: int, refine: bool,
                         estimator="orlicz", n_samples=batch.count,
                         n_directions=n_dirs, argmax_direction=best_dir)
 
-
-def triangle_combine(est1: Psi2Estimate, est2: Psi2Estimate) -> float:
-    """Upper bound on the norm of the concatenated vector: sum of the parts."""
-    return est1.value + est2.value

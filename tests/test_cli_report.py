@@ -3,6 +3,9 @@ import json
 import pytest
 
 from subgauss.cli_report import (
+    STUDIES,
+    _assemble_run_config,
+    build_parser,
     emit_report,
     parse_config,
     run_cli,
@@ -192,3 +195,59 @@ class TestRunCli:
         cfg = tmp_path / "run.json"
         cfg.write_text('{"experiment":"wishart"}')
         assert run_cli(["counterexample", "--config", str(cfg)]) == 64
+
+
+class TestParameterTable:
+    @pytest.mark.parametrize("doc", [
+        '{"experiment":"counterexample","dims":["a",16,64]}',
+        '{"experiment":"theorem","kappas":["x"]}',
+        '{"experiment":"counterexample","dims":[16.7,64,256]}',
+        '{"experiment":"counterexample","samples":true}',
+        '{"experiment":"wishart","threshold":false}',
+        '{"experiment":"theorem","maps":"sgn"}',
+    ])
+    def test_wrong_kind_is_a_config_error(self, doc, tmp_path):
+        with pytest.raises(ValidationError):
+            parse_config(doc)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(doc)
+        out = tmp_path / "out"
+        assert run_cli([json.loads(doc)["experiment"], "--config", str(cfg),
+                        "--out", str(out)]) == 64
+        assert not out.exists()
+
+    @pytest.mark.parametrize("study,key", [(study, key) for study, params in STUDIES.items()
+                                           for key in params])
+    def test_json_key_and_flag_agree(self, study, key):
+        _, default = STUDIES[study][key]
+        text = ",".join(map(str, default)) if isinstance(default, list) else str(default)
+        from_json = parse_config(json.dumps({"experiment": study, key: default, "seed": 5}))
+        args = build_parser().parse_args(
+            [study, "--" + key.replace("_", "-"), text, "--seed", "5"])
+        assert _assemble_run_config(args).echo() == from_json.echo()
+        assert key in from_json.echo()
+
+    @pytest.mark.parametrize("args", [
+        ["theorem", "--directions", "-3"],
+        ["corollary", "--directions", "-1"],
+        ["counterexample", "--samples", "5000"],
+        ["counterexample", "--dims", "8,16,32"],
+        ["wishart", "--trials", "50"],
+    ])
+    def test_precondition_exits_64_before_any_study(self, args, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli(args + ["--out", str(out)]) == 64
+        assert not out.exists()
+
+    def test_flag_overrides_config_value(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"experiment":"wishart","trials":50,"dims":[16]}')
+        args = build_parser().parse_args(["wishart", "--config", str(cfg), "--trials", "200"])
+        run = _assemble_run_config(args)
+        assert run.configs["wishart"].trials == 200
+        assert run.echo()["dims"] == [16]
+
+    def test_run_config_keeps_built_configs(self):
+        run = parse_config('{"experiment":"all","seed":1}')
+        assert len(run.configs["theorem"]) == 2
+        assert run.configs["counterexample"].dims == (16, 64, 256)

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from subgauss.errors import DimensionTooSmall, DomainError, ValidationError
 from subgauss.experiments import (
     CorollaryConfig,
+    CounterexampleConfig,
     ReportRow,
     TheoremConfig,
+    WishartConfig,
     make_conditioned_covariance,
     merge_reports,
     partition_rows,
@@ -245,6 +247,13 @@ class TestCorollaryExperiment:
         with pytest.raises(ValidationError):
             CorollaryConfig(dims=(8,), w_draws=5)
 
+    def test_negative_directions_rejected(self):
+        with pytest.raises(ValidationError, match="directions"):
+            CorollaryConfig(dims=(8,), directions=-1)
+        with pytest.raises(ValidationError, match="directions"):
+            TheoremConfig(dims=(8,), kappas=(1.0,), directions=-3)
+        TheoremConfig(dims=(8,), kappas=(1.0,), directions=0)
+
 
 class TestWishartConditioning:
     def test_m_one_always_unit_kappa(self):
@@ -266,6 +275,11 @@ class TestWishartConditioning:
     def test_trials_validation(self):
         with pytest.raises(ValidationError):
             run_wishart_conditioning([64], trials=50, seed=0)
+
+    def test_config_validation(self):
+        with pytest.raises(ValidationError, match="trials"):
+            WishartConfig(dims=(64,), trials=99, threshold=100.0, seed=0)
+        WishartConfig(dims=(64,), trials=100, threshold=100.0, seed=0)
 
     def test_determinism(self):
         a = run_wishart_conditioning([32], trials=100, seed=3)
@@ -290,6 +304,13 @@ class TestCounterexample:
             run_counterexample([8, 16], samples=20_000, seed=0)
         with pytest.raises(ValidationError):
             run_counterexample([8, 16, 32], samples=20_000, seed=0)
+
+    def test_samples_floor(self):
+        # psi2_vector needs 1e4 draws; the config refuses fewer before sampling
+        with pytest.raises(ValidationError, match="samples"):
+            CounterexampleConfig(dims=(8, 16, 64), samples=9_999, seed=0)
+        with pytest.raises(ValidationError, match="samples"):
+            run_counterexample([8, 16, 64], samples=5_000, seed=0)
 
 
 class TestReportPlumbing:
