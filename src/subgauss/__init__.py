@@ -24,7 +24,6 @@ from .gaussian_core import (
 )
 from .nonlinearity import (
     BoundedMap,
-    SmoothedMean,
     get_map,
     lipschitz_certificate,
     smoothed_mean,
@@ -56,7 +55,6 @@ __all__ = [
     "SampleBatch",
     "SchemaError",
     "SingularCovariance",
-    "SmoothedMean",
     "SubgaussError",
     "ValidationError",
     "condition_number",

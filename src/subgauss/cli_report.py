@@ -3,7 +3,8 @@
 Config files are strict-schema JSON: unknown keys are rejected so a typo can
 never silently corrupt a study.  CSV is the primary tabular output (one row
 per report row plus a long-format curves file); a JSON sidecar carries the
-seed, the config echo, and versions needed to re-run.
+seed, the config echo, and versions needed to re-run.  The sidecar is the same
+for the same run apart from its `run_env` block (the wall-clock time).
 
 Exit codes: 0 all pass flags true, 1 some bound violated, 2 operational
 error, 64 usage or config error.
@@ -16,11 +17,14 @@ import csv
 import json
 import math
 import os
+import platform
 import sys
 import time
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy import special
 
 from . import __version__
@@ -113,6 +117,9 @@ class RunConfig:
         self.output_dir = str(output_dir)
         self.seed = _env_int("SUBGAUSS_SEED", DEFAULT_SEED) if seed is None else int(seed)
         self.format = format
+        empty = [key for key, value in self.parameters.items() if value == []]
+        if empty:
+            raise ValidationError(f"key {empty[0]!r} must not be empty")
         self.configs = build_experiment_configs(self)  # every precondition, up front
 
     def __eq__(self, other):
@@ -235,7 +242,9 @@ def emit_report(report: ExperimentReport, format: str, output_dir, *,
         "all_passed": report.all_passed,
         "row_count": len(report.rows),
         "metadata": report.metadata,
-        "versions": {"subgauss": __version__, "numpy": np.__version__},
+        "versions": {"subgauss": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__, "python": platform.python_version()},
+        "run_env": {"generated_at": datetime.now(timezone.utc).isoformat()},
     }
     if run_config_echo is not None:
         sidecar["run_config"] = run_config_echo

@@ -157,28 +157,6 @@ def lipschitz_certificate(bmap: BoundedMap, a: float) -> tuple[float, float]:
     return max_abs, bound
 
 
-@dataclass(frozen=True)
-class SmoothedMean:
-    """The function x -> E phi(sqrt(a) Z + x) for a fixed map and variance."""
-
-    map: BoundedMap
-    a: float
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise ValidationError(f"smoothing variance must be positive, got {self.a}")
-
-    def value(self, x: float) -> float:
-        return smoothed_mean(self.map, self.a, x)
-
-    def derivative(self, x: float) -> float:
-        return smoothed_mean_derivative(self.map, self.a, x)
-
-    @property
-    def lipschitz_bound(self) -> float:
-        return math.sqrt(2.0 / (math.pi * self.a))
-
-
 # Built-in map registry ------------------------------------------------------
 
 def _sgn_mean(a, x):

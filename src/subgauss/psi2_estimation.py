@@ -15,12 +15,11 @@ error on the criterion is quadratic in the bin width and orders of magnitude
 below the bootstrap noise at the default resolutions.
 
 Vector norm: maximum of the scalar norm over a declared direction set
-(canonical basis + normalized all-ones + seeded random unit vectors, plus an
-optional coordinate-ascent polish).  The search is a lower bound on the true
-supremum over the sphere and is reported with its direction count.  One
-kernel, `scan_directions`, runs every such scan: it projects the directions in
-blocks of bounded memory, solves each block's roots together and spreads the
-blocks over worker threads.
+(canonical basis + normalized all-ones + seeded random unit vectors).  The
+search is a lower bound on the true supremum over the sphere and is reported
+with its direction count.  One kernel, `scan_directions`, runs every such
+scan: it projects the directions in blocks of bounded memory, solves each
+block's roots together and spreads the blocks over worker threads.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ _TAG_SCALAR = 101
 _TAG_MGF = 102
 _TAG_DIRS = 103
 _TAG_DIRBOOT = 104
-_TAG_POLISH = 105
 
 
 @dataclass(frozen=True)
@@ -78,8 +76,6 @@ class MgfFit:
 
     sigma: float
     lambda_grid: np.ndarray
-    margins: np.ndarray   # per-lambda log E exp(lambda X) - sigma^2 lambda^2 / 2
-    slacks: np.ndarray    # per-lambda bootstrap band above the point estimate
 
 
 @dataclass(frozen=True)
@@ -197,16 +193,7 @@ def _orlicz_estimate(samples, rngs, bins: int, resamples: int) -> np.ndarray:
     return out
 
 
-def _orlicz_point(x: np.ndarray, bins: int) -> float:
-    """Plain empirical-mean Orlicz root (no bootstrap); polish objective."""
-    if float(np.max(np.abs(x))) <= ZERO_TOL:
-        return 0.0
-    reps, counts = _compress(x * x, bins)
-    return float(_orlicz_roots(reps, counts[:, None], len(x))[0])
-
-
-def psi2_scalar(samples, *, seed: int = 0, bins: int = SCALAR_BINS,
-                resamples: int = RESAMPLES) -> Psi2Estimate:
+def psi2_scalar(samples, *, seed: int = 0) -> Psi2Estimate:
     """Orlicz subgaussian norm of a scalar sample with a bootstrap 95% CI.
 
     The seed fixes the bootstrap resamples, making results reproducible and
@@ -215,13 +202,13 @@ def psi2_scalar(samples, *, seed: int = 0, bins: int = SCALAR_BINS,
     x = np.asarray(samples, dtype=float).ravel()
     if len(x) < 1000:
         raise InsufficientSamples(f"need at least 1000 samples, got {len(x)}")
-    value, lo, hi = _orlicz_estimate([x], [substream(seed, _TAG_SCALAR)], bins, resamples)[0]
+    value, lo, hi = _orlicz_estimate([x], [substream(seed, _TAG_SCALAR)],
+                                     SCALAR_BINS, RESAMPLES)[0]
     return Psi2Estimate(value=float(value), ci_low=float(lo), ci_high=float(hi),
                         estimator="orlicz", n_samples=len(x))
 
 
-def mgf_sigma(samples, lambda_grid, *, seed: int = 0, bins: int = SCALAR_BINS,
-              resamples: int = RESAMPLES) -> MgfFit:
+def mgf_sigma(samples, lambda_grid, *, seed: int = 0, bins: int = SCALAR_BINS) -> MgfFit:
     """Fit the smallest sigma dominating the empirical MGF on a symmetric grid.
 
     Samples are centered internally.  The fit uses the 97.5% bootstrap band of
@@ -241,18 +228,14 @@ def mgf_sigma(samples, lambda_grid, *, seed: int = 0, bins: int = SCALAR_BINS,
         raise GridTooWide(
             f"lambda*max|X| = {lam[-1] * max_abs:.3g} exceeds {MGF_EXP_GUARD}")
     if max_abs <= ZERO_TOL:
-        z = np.zeros(len(grid))
-        return MgfFit(sigma=0.0, lambda_grid=grid, margins=z, slacks=z)
+        return MgfFit(sigma=0.0, lambda_grid=grid)
 
-    log_means = np.array([math.log(np.exp(l * x).mean()) for l in grid])
     reps, counts = _compress(x, bins)
-    weights = _resample_counts(counts, len(x), substream(seed, _TAG_MGF), resamples)
+    weights = _resample_counts(counts, len(x), substream(seed, _TAG_MGF), RESAMPLES)
     means = weights @ np.exp(np.outer(reps, grid)) / len(x)
     bands = np.percentile(np.log(means), 97.5, axis=0)
     sigma = float(np.sqrt(np.max(2.0 * np.clip(bands, 0.0, None) / grid**2)))
-    margins = log_means - 0.5 * sigma**2 * grid**2
-    return MgfFit(sigma=sigma, lambda_grid=grid, margins=margins,
-                  slacks=bands - log_means)
+    return MgfFit(sigma=sigma, lambda_grid=grid)
 
 
 def direction_set(n: int, n_random: int, rng: np.random.Generator) -> np.ndarray:
@@ -270,8 +253,7 @@ def direction_set(n: int, n_random: int, rng: np.random.Generator) -> np.ndarray
 
 
 def scan_directions(y: np.ndarray, n_random: int, seed: int, stream_id: int, tags: tuple,
-                    *, lambda_grid=None, bins: int = SCAN_BINS, resamples: int = RESAMPLES,
-                    threads: int = 1) -> ScanResult:
+                    *, lambda_grid=None, threads: int = 1) -> ScanResult:
     """Max bootstrap Orlicz estimate of the projections y @ v over the canonical
     + all-ones + n_random random direction set, and with a lambda grid the max
     fitted MGF sigma over the same set.
@@ -294,7 +276,7 @@ def scan_directions(y: np.ndarray, n_random: int, seed: int, stream_id: int, tag
     dirs = direction_set(n, n_random, substream(seed, stream_id, dir_tag))
     # One direction holds its projection and about six resamples x bins arrays
     # in the root solve.
-    size = max(1, SCAN_BLOCK_BYTES // (8 * (rows + 6 * resamples * bins)))
+    size = max(1, SCAN_BLOCK_BYTES // (8 * (rows + 6 * RESAMPLES * SCAN_BINS)))
     blocks = [range(lo, min(lo + size, len(dirs))) for lo in range(0, len(dirs), size)]
     # Projecting onto the transpose gives each direction a contiguous row, and
     # runs the narrow block products about twice as fast as y @ block.T.
@@ -303,12 +285,12 @@ def scan_directions(y: np.ndarray, n_random: int, seed: int, stream_id: int, tag
     def work(block):
         proj = dirs[block.start:block.stop] @ y_t
         rngs = [substream(seed, stream_id, boot_tag, d) for d in block]
-        estimates = _orlicz_estimate(proj, rngs, bins, resamples)
+        estimates = _orlicz_estimate(proj, rngs, SCAN_BINS, RESAMPLES)
         if lambda_grid is None:
             return estimates, []
         return estimates, [
             mgf_sigma(x, lambda_grid, seed=subseed(seed, stream_id, mgf_tag, d),
-                      bins=bins).sigma
+                      bins=SCAN_BINS).sigma
             for x, d in zip(proj, block)]
 
     results = thread_map(work, blocks, threads)
@@ -321,43 +303,8 @@ def scan_directions(y: np.ndarray, n_random: int, seed: int, stream_id: int, tag
                       mgf_sigma_max=max(sigmas) if lambda_grid is not None else None)
 
 
-def _polish(y: np.ndarray, v0: np.ndarray, bins: int, sweeps: int = 50,
-            step0: float = 0.1, min_step: float = 1e-4) -> np.ndarray:
-    """Coordinate-ascent polish of a direction, step halving on stall.
-
-    Objective is the plain empirical Orlicz root of the projection, updated
-    incrementally per coordinate so each candidate costs O(samples).
-    """
-    v = v0.copy()
-    p = y @ v
-    best = _orlicz_point(p, bins)
-    step = step0
-    n = y.shape[1]
-    for _ in range(sweeps):
-        improved = False
-        for i in range(n):
-            col = y[:, i]
-            for sgn in (1.0, -1.0):
-                norm = math.sqrt(max(1.0 - v[i] ** 2 + (v[i] + sgn * step) ** 2, 1e-30))
-                cand_p = (p + sgn * step * col) / norm
-                root = _orlicz_point(cand_p, bins)
-                if root > best + 1e-12:
-                    v[i] += sgn * step
-                    v /= norm
-                    p = cand_p
-                    best = root
-                    improved = True
-                    break
-        if not improved:
-            step *= 0.5
-            if step < min_step:
-                break
-    return v / np.linalg.norm(v)
-
-
-def psi2_vector(batch: SampleBatch, direction_budget: int, refine: bool,
-                *, center: bool = True, bins: int = SCAN_BINS,
-                resamples: int = RESAMPLES, threads: int = 1) -> Psi2Estimate:
+def psi2_vector(batch: SampleBatch, direction_budget: int, *, center: bool = True,
+                threads: int = 1) -> Psi2Estimate:
     """Maximum scalar norm over the declared direction set of a vector batch.
 
     Requires at least 1e4 rows and a random-direction budget of at least the
@@ -374,28 +321,8 @@ def psi2_vector(batch: SampleBatch, direction_budget: int, refine: bool,
     y = np.asarray(batch.data, dtype=float)
     if center:
         y = y - y.mean(axis=0)
-    if float(np.max(np.abs(y))) <= ZERO_TOL:
-        ones = np.ones(n) / math.sqrt(n)
-        return Psi2Estimate(0.0, 0.0, 0.0, "orlicz", batch.count,
-                            n_directions=n + 1 + direction_budget,
-                            argmax_direction=ones)
-
     scan = scan_directions(y, direction_budget, batch.seed, batch.stream_id,
-                           (_TAG_DIRS, _TAG_DIRBOOT, None), bins=bins,
-                           resamples=resamples, threads=threads)
-    best_value, best_ci, best_dir = scan.value, (scan.ci_low, scan.ci_high), scan.direction
-    n_dirs = scan.n_directions
-
-    if refine:
-        polished = _polish(y, best_dir, bins)
-        rng = substream(batch.seed, batch.stream_id, _TAG_POLISH)
-        value, lo, hi = (float(v) for v in
-                         _orlicz_estimate([y @ polished], [rng], bins, resamples)[0])
-        n_dirs += 1
-        if value > best_value:
-            best_value, best_ci, best_dir = value, (lo, hi), polished
-
-    return Psi2Estimate(value=best_value, ci_low=best_ci[0], ci_high=best_ci[1],
+                           (_TAG_DIRS, _TAG_DIRBOOT, None), threads=threads)
+    return Psi2Estimate(value=scan.value, ci_low=scan.ci_low, ci_high=scan.ci_high,
                         estimator="orlicz", n_samples=batch.count,
-                        n_directions=n_dirs, argmax_direction=best_dir)
-
+                        n_directions=scan.n_directions, argmax_direction=scan.direction)

@@ -113,6 +113,15 @@ class TestEmitReport:
         with pytest.raises(IoError):
             emit_report(tiny_report(), "csv", blocker / "sub")
 
+    def test_sidecar_deterministic_apart_from_run_env(self, tmp_path):
+        docs = []
+        for extra in ([], ["--force"]):  # the same output dir, as the config echo names it
+            assert run_cli(CX_ARGS + ["--out", str(tmp_path)] + extra) == 0
+            docs.append(json.loads((tmp_path / "counterexample.json").read_text()))
+        assert {"generated_at"} == set(docs[0].pop("run_env")) == set(docs[1].pop("run_env"))
+        assert docs[0] == docs[1]
+        assert {"subgauss", "numpy", "scipy", "python"} == set(docs[0]["versions"])
+
     def test_sidecar_carries_config_echo(self, tmp_path):
         emit_report(tiny_report(), "csv", tmp_path,
                     run_config_echo={"experiment": "wishart", "seed": 1})
@@ -246,6 +255,27 @@ class TestParameterTable:
         run = _assemble_run_config(args)
         assert run.configs["wishart"].trials == 200
         assert run.echo()["dims"] == [16]
+
+    @pytest.mark.parametrize("study,key", [("theorem", "dims"), ("theorem", "kappas"),
+                                           ("theorem", "maps"), ("wishart", "dims"),
+                                           ("corollary", "dims")])
+    def test_empty_list_is_a_config_error(self, study, key, tmp_path):
+        with pytest.raises(ValidationError, match="empty"):
+            parse_config(json.dumps({"experiment": study, key: []}))
+        out = tmp_path / "out"
+        assert run_cli([study, "--" + key, ",", "--out", str(out)]) == 64
+        assert not out.exists()
+
+    @pytest.mark.parametrize("study,key,text,json_value", [
+        ("theorem", "kappas", "nan", "[NaN]"), ("theorem", "kappas", "inf", "[Infinity]"),
+        ("theorem", "kappas", "-inf", "[-Infinity]"), ("wishart", "threshold", "nan", "NaN"),
+        ("wishart", "threshold", "inf", "Infinity")])
+    def test_non_finite_number_is_a_config_error(self, study, key, text, json_value, tmp_path):
+        with pytest.raises(ValidationError, match="finite"):
+            parse_config(f'{{"experiment":"{study}","{key}":{json_value}}}')
+        out = tmp_path / "out"
+        assert run_cli([study, f"--{key}={text}", "--out", str(out)]) == 64
+        assert not out.exists()
 
     def test_run_config_keeps_built_configs(self):
         run = parse_config('{"experiment":"all","seed":1}')

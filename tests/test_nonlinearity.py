@@ -7,7 +7,6 @@ from scipy import special
 from subgauss.errors import BoundViolation, ValidationError
 from subgauss.nonlinearity import (
     BoundedMap,
-    SmoothedMean,
     clamp_map,
     constant_one_map,
     get_map,
@@ -55,6 +54,8 @@ class TestBoundedMap:
 class TestSmoothedMean:
     def test_sgn_at_zero(self):
         assert smoothed_mean(sgn_map(), 1.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+        # a threshold map is sgn moved to its level
+        assert smoothed_mean(threshold_map(0.5), 1.0, 0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_sgn_at_one(self):
         # closed form 1 - 2*Phi(-x/sqrt(a)) = erf(1/sqrt(2))
@@ -96,8 +97,9 @@ class TestSmoothedMean:
 
 class TestSmoothedMeanDerivative:
     def test_sgn_attains_bound_at_origin(self):
-        value = smoothed_mean_derivative(sgn_map(), 1.0, 0.0)
-        assert value == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-9)
+        for bmap, peak in ((sgn_map(), 0.0), (threshold_map(0.5), 0.5)):
+            value = smoothed_mean_derivative(bmap, 1.0, peak)
+            assert value == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-9)
 
     def test_sgn_a_four(self):
         value = smoothed_mean_derivative(sgn_map(), 4.0, 0.0)
@@ -144,20 +146,3 @@ class TestLipschitzCertificate:
     def test_no_builtin_violates_bound(self, name, a):
         max_abs, bound = lipschitz_certificate(get_map(name), a)
         assert max_abs <= bound + 1e-9
-
-
-class TestSmoothedMeanType:
-    def test_wraps_map_and_variance(self):
-        sm = SmoothedMean(sgn_map(), 4.0)
-        assert sm.value(0.0) == pytest.approx(0.0, abs=1e-12)
-        assert sm.derivative(0.0) == pytest.approx(0.3989423, abs=1e-6)
-        assert sm.lipschitz_bound == pytest.approx(math.sqrt(2.0 / (4.0 * math.pi)))
-
-    def test_invalid_variance(self):
-        with pytest.raises(ValidationError):
-            SmoothedMean(sgn_map(), -1.0)
-
-    def test_threshold_shifted_peak(self):
-        sm = SmoothedMean(threshold_map(0.5), 1.0)
-        assert sm.value(0.5) == pytest.approx(0.0, abs=1e-12)
-        assert sm.derivative(0.5) == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-9)

@@ -168,12 +168,6 @@ class TestMgfSigma:
         fit = mgf_sigma(rademacher(2000), [1.0, 0.5])
         np.testing.assert_allclose(fit.lambda_grid, [-1.0, -0.5, 0.5, 1.0])
 
-    def test_margins_within_statistical_slack(self):
-        x = substream(3, "mgf-margin").standard_normal(10**5)
-        fit = mgf_sigma(x, [0.5, 1.0, 2.0])
-        assert np.all(fit.slacks >= 0.0)
-        assert np.all(fit.margins <= fit.slacks)
-
     def test_overflow_guard(self):
         x = np.concatenate([np.zeros(1999), [20.0]])
         with pytest.raises(GridTooWide):
@@ -203,7 +197,7 @@ class TestDomination:
 class TestPsi2Vector:
     def test_rademacher_coordinates_n16(self):
         y = np.where(substream(42, "vec-rad").random((10**5, 16)) < 0.5, -1.0, 1.0)
-        est = psi2_vector(make_batch(y, seed=9), 16, refine=False)
+        est = psi2_vector(make_batch(y, seed=9), 16)
         assert 1.0 <= est.value <= 1.6
         assert est.n_directions == 16 + 1 + 16
 
@@ -211,60 +205,52 @@ class TestPsi2Vector:
         cov = CovarianceSpec.rank_one_ones(16)
         x = sample_gaussian(cov, 10**5, seed=7, stream_id=0)
         y = x.with_data(np.sign(x.data), "sgn")
-        est = psi2_vector(y, 16, refine=False, center=False)
+        est = psi2_vector(y, 16, center=False)
         assert est.value == pytest.approx(math.sqrt(16.0 / math.log(2.0)), rel=1e-6)
         ones = np.ones(16) / 4.0
         assert abs(abs(est.argmax_direction @ ones) - 1.0) <= 1e-9
 
     def test_zero_batch(self):
-        est = psi2_vector(make_batch(np.zeros((10**4, 4))), 4, refine=False)
-        assert est.value == 0.0
+        est = psi2_vector(make_batch(np.zeros((10**4, 4))), 6)
+        assert (est.value, est.ci_low, est.ci_high) == (0.0, 0.0, 0.0)
+        assert est.n_directions == 4 + 1 + 6
+        np.testing.assert_array_equal(est.argmax_direction, np.eye(4)[0])
 
     def test_insufficient_draws(self):
         with pytest.raises(InsufficientSamples):
-            psi2_vector(make_batch(np.ones((5000, 4))), 4, refine=False)
+            psi2_vector(make_batch(np.ones((5000, 4))), 4)
 
     def test_budget_below_dimension_rejected(self):
         with pytest.raises(ValidationError):
-            psi2_vector(make_batch(np.zeros((10**4, 8))), 4, refine=False)
+            psi2_vector(make_batch(np.zeros((10**4, 8))), 4)
 
     def test_monotone_in_direction_budget(self):
         y = np.where(substream(8, "vec-mono").random((10**4, 8)) < 0.5, -1.0, 1.0)
         batch = make_batch(y, seed=11)
-        values = [psi2_vector(batch, budget, refine=False).value
-                  for budget in (8, 16, 32)]
+        values = [psi2_vector(batch, budget).value for budget in (8, 16, 32)]
         assert values[0] <= values[1] <= values[2]
 
     def test_centering_shift_invariance(self):
         y = np.where(substream(9, "vec-center").random((2 * 10**4, 8)) < 0.5, -1.0, 1.0)
-        base = psi2_vector(make_batch(y, seed=4), 8, refine=False)
-        shifted = psi2_vector(make_batch(y + 3.0, seed=4), 8, refine=False)
+        base = psi2_vector(make_batch(y, seed=4), 8)
+        shifted = psi2_vector(make_batch(y + 3.0, seed=4), 8)
         ci_width = base.ci_high - base.ci_low
         assert abs(shifted.value - base.value) <= max(ci_width, 1e-9)
-
-    def test_refine_never_lowers_estimate(self):
-        rng = substream(10, "vec-refine")
-        y = np.sign(rng.standard_normal((2 * 10**4, 6))) * rng.uniform(0.5, 1.0, (2 * 10**4, 6))
-        batch = make_batch(y, seed=12)
-        plain = psi2_vector(batch, 6, refine=False)
-        polished = psi2_vector(batch, 6, refine=True)
-        assert polished.value >= plain.value - 1e-12
-        assert polished.n_directions == plain.n_directions + 1
 
     def test_thread_count_invariance(self):
         # several direction blocks, so the threads really share the scan
         y = substream(14, "vec-threads").standard_normal((2 * 10**4, 8))
         batch = make_batch(np.clip(y, -1.5, 1.5), seed=5)
-        one = psi2_vector(batch, 48, refine=False, threads=1)
-        three = psi2_vector(batch, 48, refine=False, threads=3)
+        one = psi2_vector(batch, 48, threads=1)
+        three = psi2_vector(batch, 48, threads=3)
         assert (one.value, one.ci_low, one.ci_high) == (three.value, three.ci_low, three.ci_high)
         np.testing.assert_array_equal(one.argmax_direction, three.argmax_direction)
 
     def test_deterministic_given_seed(self):
         y = np.where(substream(13, "vec-det").random((10**4, 4)) < 0.5, -1.0, 1.0)
-        a = psi2_vector(make_batch(y, seed=3), 4, refine=True)
-        b = psi2_vector(make_batch(y, seed=3), 4, refine=True)
-        assert a.value == b.value
+        a = psi2_vector(make_batch(y, seed=3), 4)
+        b = psi2_vector(make_batch(y, seed=3), 4)
+        assert (a.value, a.ci_low, a.ci_high) == (b.value, b.ci_low, b.ci_high)
         np.testing.assert_array_equal(a.argmax_direction, b.argmax_direction)
 
 
@@ -293,10 +279,10 @@ class TestTriangleCombine:
         x = sample_gaussian(CovarianceSpec.identity(n), 5 * 10**4, seed=6, stream_id=0)
         y = np.sign(x.data @ w.T)
         b1 = psi2_vector(make_batch(y[:, : n // 2], seed=6, stream_id=1),
-                         n // 2, refine=False, center=False)
+                         n // 2, center=False)
         b2 = psi2_vector(make_batch(y[:, n // 2 :], seed=6, stream_id=2),
-                         n // 2, refine=False, center=False)
-        full = psi2_vector(make_batch(y, seed=6, stream_id=3), n, refine=False,
+                         n // 2, center=False)
+        full = psi2_vector(make_batch(y, seed=6, stream_id=3), n,
                            center=False)
         slack = (b1.ci_high - b1.value) + (b2.ci_high - b2.value) + (full.value - full.ci_low)
         assert full.value <= b1.value + b2.value + slack + 1e-9
