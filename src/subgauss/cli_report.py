@@ -4,7 +4,8 @@ Config files are strict-schema JSON: unknown keys are rejected so a typo can
 never silently corrupt a study.  CSV is the primary tabular output (one row
 per report row plus a long-format curves file); a JSON sidecar carries the
 seed, the config echo, and versions needed to re-run.  The sidecar is the same
-for the same run apart from its `run_env` block (the wall-clock time).
+for the same run apart from its `run_env` block (the wall-clock time and the
+thread count).
 
 Exit codes: 0 all pass flags true, 1 some bound violated, 2 operational
 error, 64 usage or config error.
@@ -222,12 +223,15 @@ def _prepare_target(path: Path, force: bool) -> None:
 
 
 def emit_report(report: ExperimentReport, format: str, output_dir, *,
-                force: bool = False, run_config_echo: dict | None = None) -> list[Path]:
+                force: bool = False, run_config_echo: dict | None = None,
+                threads: int | None = None) -> list[Path]:
     """Write the report and return the created paths.
 
     csv format: <experiment>.csv (one row per report row), <experiment>.json
     sidecar with full metadata, and <experiment>_curves.csv in long format for
     value-vs-n plots.  json format: a single file that also embeds the rows.
+    `threads`, the worker count the report was computed with, goes to the
+    sidecar's run_env block (null when not given).
     """
     out = Path(output_dir)
     try:
@@ -244,7 +248,8 @@ def emit_report(report: ExperimentReport, format: str, output_dir, *,
         "metadata": report.metadata,
         "versions": {"subgauss": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__, "python": platform.python_version()},
-        "run_env": {"generated_at": datetime.now(timezone.utc).isoformat()},
+        "run_env": {"generated_at": datetime.now(timezone.utc).isoformat(),
+                    "threads": threads},
     }
     if run_config_echo is not None:
         sidecar["run_config"] = run_config_echo
@@ -404,7 +409,8 @@ def run_cli(argv=None) -> int:
 
     try:
         run = _assemble_run_config(args)
-        threads = _env_int("SUBGAUSS_THREADS", 1) if args.threads is None else args.threads
+        threads = max(1, _env_int("SUBGAUSS_THREADS", 1) if args.threads is None
+                      else args.threads)
     except (SchemaError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         print(SCHEMA_HELP, file=sys.stderr)
@@ -414,11 +420,11 @@ def run_cli(argv=None) -> int:
         return 2
 
     try:
-        reports = run_experiments(run, threads=max(1, threads))
+        reports = run_experiments(run, threads=threads)
         all_passed = True
         for report in reports:
-            paths = emit_report(report, run.format, run.output_dir,
-                                force=args.force, run_config_echo=run.echo())
+            paths = emit_report(report, run.format, run.output_dir, force=args.force,
+                                run_config_echo=run.echo(), threads=threads)
             for path in paths:
                 print(f"wrote {path}")
             n_fail = sum(1 for r in report.rows if not r.passed)

@@ -45,7 +45,7 @@ EXCEEDANCE_THRESHOLD = 100.0     # reporting proxy for the ill-conditioned event
 EXCEEDANCE_RATE_BOUND = 0.01
 SLOPE_WINDOW_HALFWIDTH = 0.05    # accepted deviation of the log-log slope from 1/2
 
-_SCAN_TAGS = (201, 202, 203)     # direction set, bootstrap and MGF substreams of a scan
+_SCAN_TAGS = (201, 202)          # direction-set and bootstrap substreams of a scan
 
 
 # Report structures ----------------------------------------------------------
@@ -115,6 +115,11 @@ def merge_reports(reports: list) -> ExperimentReport:
 
 # Configs ---------------------------------------------------------------------
 
+def _check_nonempty(name: str, values: tuple) -> None:
+    if len(values) == 0:  # an empty grid would report vacuous passes
+        raise ValidationError(f"{name} must not be empty")
+
+
 def _check_directions(directions: int) -> None:
     if directions < 0:
         raise ValidationError(f"directions must be >= 0, got {directions}")
@@ -130,6 +135,8 @@ class TheoremConfig:
     seed: int = 42
 
     def __post_init__(self):
+        _check_nonempty("dims", self.dims)
+        _check_nonempty("kappas", self.kappas)
         if any(n < 2 for n in self.dims):
             raise ValidationError(f"dims must be >= 2, got {self.dims}")
         if not all(1 <= k < math.inf for k in self.kappas):  # NaN fails too
@@ -150,6 +157,7 @@ class CorollaryConfig:
     seed: int = 42
 
     def __post_init__(self):
+        _check_nonempty("dims", self.dims)
         if any(n < 2 for n in self.dims):
             raise ValidationError(f"dims must be >= 2, got {self.dims}")
         if self.w_draws < 20:
@@ -168,6 +176,7 @@ class WishartConfig:
     seed: int
 
     def __post_init__(self):
+        _check_nonempty("dims", self.dims)
         if self.trials < 100:
             raise ValidationError(f"trials must be >= 100, got {self.trials}")
         if not math.isfinite(self.threshold):

@@ -8,18 +8,22 @@ with a percentile interval from the same roots.  The roots come from one
 vectorized, safeguarded Newton solve on the log criterion in u = 1/t^2; each
 returned t is on the conservative side, where the criterion is at most 2.
 
-Resample criteria are evaluated on a compressed support: exact value counts
-when the sample has few distinct values (sign data is the common case here),
-otherwise uniform bins over the value range with per-bin means.  The binning
-error on the criterion is quadratic in the bin width and orders of magnitude
-below the bootstrap noise at the default resolutions.
+A sample is compressed once, on its values: exact value counts when it has
+few distinct values (sign data is the common case here), otherwise uniform
+bins over the value range with each bin's mean of x and mean of x^2.  It is
+then resampled once, as one matrix of multinomial counts.  The Orlicz
+criterion reads the mean squares and the MGF band the representatives, both
+under the same weights.  The binning error on either is quadratic in the bin
+width and orders of magnitude below the bootstrap noise at the default
+resolutions.
 
 Vector norm: maximum of the scalar norm over a declared direction set
 (canonical basis + normalized all-ones + seeded random unit vectors).  The
 search is a lower bound on the true supremum over the sphere and is reported
 with its direction count.  One kernel, `scan_directions`, runs every such
-scan: it projects the directions in blocks of bounded memory, solves each
-block's roots together and spreads the blocks over worker threads.
+scan: it projects the directions in blocks of bounded memory, compresses and
+resamples each projection once for both estimates, solves each block's roots
+together and spreads the blocks over worker threads.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import GridTooWide, InsufficientSamples, ValidationError
-from .gaussian_core import SampleBatch, subseed, substream, thread_map
+from .gaussian_core import SampleBatch, substream, thread_map
 
 RESAMPLES = 200          # bootstrap resamples for medians and 95% percentile CIs
 SCALAR_BINS = 4096       # support compression for the standalone scalar estimator
@@ -91,17 +95,29 @@ class ScanResult:
     mgf_sigma_max: Optional[float] = None
 
 
-def _compress(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """(representatives, counts): exact uniques if few, else uniform-bin means."""
-    uniq, counts = np.unique(values, return_counts=True)
-    if len(uniq) <= bins:
-        return uniq, counts
-    lo, hi = float(uniq[0]), float(uniq[-1])
+def _compress(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(representatives, mean squares, counts) of a sample.
+
+    A sample with at most `bins` distinct values gives those values, their
+    exact squares and their counts; a wider one gives `bins` uniform bins over
+    its range, each bin's mean of x and mean of x^2, with empty bins dropped.
+    When a prefix already holds more than `bins` distinct values the sample is
+    binned without sorting it: the range then comes from its min and max,
+    which are the ends of the full sort, so the result is the same.
+    """
+    if len(np.unique(values[:2 * bins + 2])) > bins:
+        lo, hi = float(values.min()), float(values.max())
+    else:
+        uniq, counts = np.unique(values, return_counts=True)
+        if len(uniq) <= bins:
+            return uniq, uniq * uniq, counts
+        lo, hi = float(uniq[0]), float(uniq[-1])
     idx = np.minimum(((values - lo) * (bins / (hi - lo))).astype(np.int64), bins - 1)
     cnt = np.bincount(idx, minlength=bins)
     sums = np.bincount(idx, weights=values, minlength=bins)
+    squares = np.bincount(idx, weights=values * values, minlength=bins)
     mask = cnt > 0
-    return sums[mask] / cnt[mask], cnt[mask]
+    return sums[mask] / cnt[mask], squares[mask] / cnt[mask], cnt[mask]
 
 
 def _resample_counts(counts: np.ndarray, n: int, rng: np.random.Generator,
@@ -163,31 +179,34 @@ def _orlicz_roots(reps_sq: np.ndarray, weights: np.ndarray, n: int) -> np.ndarra
             margin *= 2.0
 
 
-def _orlicz_estimate(samples, rngs, bins: int, resamples: int) -> np.ndarray:
-    """(median root, ci_low, ci_high) of the bootstrap-median Orlicz criterion,
-    one row per sample, with the roots of every sample solved together.
+def _draw_support(x: np.ndarray, rng: np.random.Generator, bins: int):
+    """(representatives, mean squares, weights) of sample x: its support
+    compressed to at most `bins` points, and RESAMPLES rows of multinomial
+    counts over it drawn with rng, each row summing to len(x).  An
+    almost-surely-zero sample gives None and draws nothing."""
+    if float(np.max(np.abs(x))) <= ZERO_TOL:
+        return None
+    reps, squares, counts = _compress(x, bins)
+    return reps, squares, _resample_counts(counts, len(x), rng, RESAMPLES)
 
-    Sample i is compressed and resampled with its own generator rngs[i]; an
-    almost-surely-zero sample gives zeros and draws nothing.  All samples have
-    the same length.
+
+def _orlicz_estimate(supports, n: int) -> np.ndarray:
+    """(median root, ci_low, ci_high) of the bootstrap-median Orlicz criterion,
+    one row per drawn support of an n-point sample, with the roots of every
+    support solved together.  A None support (a zero sample) gives zeros.
     """
-    out = np.zeros((len(samples), 3))
-    rows, supports = [], []
-    for i, (x, rng) in enumerate(zip(samples, rngs)):
-        if float(np.max(np.abs(x))) <= ZERO_TOL:
-            continue
-        reps, counts = _compress(x * x, bins)
-        rows.append(i)
-        supports.append((reps, _resample_counts(counts, len(x), rng, resamples)))
+    out = np.zeros((len(supports), 3))
+    rows = [i for i, support in enumerate(supports) if support is not None]
     if not rows:
         return out
-    width = max(len(reps) for reps, _ in supports)
+    width = max(len(supports[i][1]) for i in rows)
     reps_sq = np.zeros((width, len(rows)))
-    weights = np.zeros((width, len(rows), resamples))
-    for j, (reps, counts) in enumerate(supports):
-        reps_sq[:len(reps), j] = reps
-        weights[:len(reps), j] = counts.T
-    roots = _orlicz_roots(reps_sq, weights, len(samples[0]))
+    weights = np.zeros((width, len(rows), RESAMPLES))
+    for j, i in enumerate(rows):
+        _, squares, counts = supports[i]
+        reps_sq[:len(squares), j] = squares
+        weights[:len(squares), j] = counts.T
+    roots = _orlicz_roots(reps_sq, weights, n)
     out[rows, 0] = np.median(roots, axis=-1)
     out[rows, 1:] = np.percentile(roots, [2.5, 97.5], axis=-1).T
     return out
@@ -202,37 +221,41 @@ def psi2_scalar(samples, *, seed: int = 0) -> Psi2Estimate:
     x = np.asarray(samples, dtype=float).ravel()
     if len(x) < 1000:
         raise InsufficientSamples(f"need at least 1000 samples, got {len(x)}")
-    value, lo, hi = _orlicz_estimate([x], [substream(seed, _TAG_SCALAR)],
-                                     SCALAR_BINS, RESAMPLES)[0]
+    support = _draw_support(x, substream(seed, _TAG_SCALAR), SCALAR_BINS)
+    value, lo, hi = _orlicz_estimate([support], len(x))[0]
     return Psi2Estimate(value=float(value), ci_low=float(lo), ci_high=float(hi),
                         estimator="orlicz", n_samples=len(x))
 
 
-def mgf_sigma(samples, lambda_grid, *, seed: int = 0, bins: int = SCALAR_BINS) -> MgfFit:
+def mgf_sigma(samples, lambda_grid, *, seed: int = 0, support=None) -> MgfFit:
     """Fit the smallest sigma dominating the empirical MGF on a symmetric grid.
 
     Samples are centered internally.  The fit uses the 97.5% bootstrap band of
     the log-empirical-MGF, so `sigma` already carries the statistical slack.
+    The band is computed on `support`, the sample's draw from `_draw_support`
+    (a scan passes the draw its Orlicz estimate uses); without one, the sample
+    is compressed to SCALAR_BINS points and resampled from `seed`.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if len(x) == 0:
         raise InsufficientSamples("empty sample")
-    x = x - x.mean()
+    mean = x.mean()
     lam = np.unique(np.abs(np.asarray(lambda_grid, dtype=float)))
     lam = lam[lam > 0]
     if len(lam) == 0:
         raise ValidationError("lambda grid must contain nonzero points")
     grid = np.concatenate([-lam[::-1], lam])
-    max_abs = float(np.max(np.abs(x)))
+    max_abs = float(max(x.max() - mean, mean - x.min()))  # max |x - mean|
     if lam[-1] * max_abs > MGF_EXP_GUARD:
         raise GridTooWide(
             f"lambda*max|X| = {lam[-1] * max_abs:.3g} exceeds {MGF_EXP_GUARD}")
-    if max_abs <= ZERO_TOL:
+    if support is None and max_abs > ZERO_TOL:
+        support = _draw_support(x, substream(seed, _TAG_MGF), SCALAR_BINS)
+    if support is None or max_abs <= ZERO_TOL:
         return MgfFit(sigma=0.0, lambda_grid=grid)
 
-    reps, counts = _compress(x, bins)
-    weights = _resample_counts(counts, len(x), substream(seed, _TAG_MGF), RESAMPLES)
-    means = weights @ np.exp(np.outer(reps, grid)) / len(x)
+    reps, _, weights = support
+    means = weights @ np.exp(np.outer(reps - mean, grid)) / len(x)
     bands = np.percentile(np.log(means), 97.5, axis=0)
     sigma = float(np.sqrt(np.max(2.0 * np.clip(bands, 0.0, None) / grid**2)))
     return MgfFit(sigma=sigma, lambda_grid=grid)
@@ -258,11 +281,13 @@ def scan_directions(y: np.ndarray, n_random: int, seed: int, stream_id: int, tag
     + all-ones + n_random random direction set, and with a lambda grid the max
     fitted MGF sigma over the same set.
 
-    tags = (direction tag, bootstrap tag, MGF tag) name the substreams: the set
-    is drawn from substream(seed, stream_id, direction tag), direction d
-    resamples from substream(seed, stream_id, bootstrap tag, d) and fits its
-    MGF with seed subseed(seed, stream_id, MGF tag, d), so its draws do not
-    depend on the budget and the estimate does not fall as the budget grows.
+    tags = (direction tag, bootstrap tag) name the substreams: the set is
+    drawn from substream(seed, stream_id, direction tag), and direction d
+    draws its one resample matrix from substream(seed, stream_id, bootstrap
+    tag, d), so its draws do not depend on the budget and the estimate does
+    not fall as the budget grows.  Each projection is compressed once and
+    resampled once: its Orlicz estimate and its MGF fit read the same weights,
+    the MGF on the representatives shifted by the projection's mean.
 
     Directions go in fixed blocks whose working set fits SCAN_BLOCK_BYTES, so
     the full rows x directions projection is never built.  Blocks run on
@@ -272,7 +297,7 @@ def scan_directions(y: np.ndarray, n_random: int, seed: int, stream_id: int, tag
     only the last block of a smaller budget sees.)
     """
     rows, n = y.shape
-    dir_tag, boot_tag, mgf_tag = tags
+    dir_tag, boot_tag = tags
     dirs = direction_set(n, n_random, substream(seed, stream_id, dir_tag))
     # One direction holds its projection and about six resamples x bins arrays
     # in the root solve.
@@ -284,14 +309,13 @@ def scan_directions(y: np.ndarray, n_random: int, seed: int, stream_id: int, tag
 
     def work(block):
         proj = dirs[block.start:block.stop] @ y_t
-        rngs = [substream(seed, stream_id, boot_tag, d) for d in block]
-        estimates = _orlicz_estimate(proj, rngs, SCAN_BINS, RESAMPLES)
+        supports = [_draw_support(x, substream(seed, stream_id, boot_tag, d), SCAN_BINS)
+                    for x, d in zip(proj, block)]
+        estimates = _orlicz_estimate(supports, rows)
         if lambda_grid is None:
             return estimates, []
-        return estimates, [
-            mgf_sigma(x, lambda_grid, seed=subseed(seed, stream_id, mgf_tag, d),
-                      bins=SCAN_BINS).sigma
-            for x, d in zip(proj, block)]
+        return estimates, [mgf_sigma(x, lambda_grid, support=support).sigma
+                           for x, support in zip(proj, supports)]
 
     results = thread_map(work, blocks, threads)
     estimates = np.concatenate([est for est, _ in results])
@@ -322,7 +346,7 @@ def psi2_vector(batch: SampleBatch, direction_budget: int, *, center: bool = Tru
     if center:
         y = y - y.mean(axis=0)
     scan = scan_directions(y, direction_budget, batch.seed, batch.stream_id,
-                           (_TAG_DIRS, _TAG_DIRBOOT, None), threads=threads)
+                           (_TAG_DIRS, _TAG_DIRBOOT), threads=threads)
     return Psi2Estimate(value=scan.value, ci_low=scan.ci_low, ci_high=scan.ci_high,
                         estimator="orlicz", n_samples=batch.count,
                         n_directions=scan.n_directions, argmax_direction=scan.direction)

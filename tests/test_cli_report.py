@@ -115,10 +115,13 @@ class TestEmitReport:
 
     def test_sidecar_deterministic_apart_from_run_env(self, tmp_path):
         docs = []
-        for extra in ([], ["--force"]):  # the same output dir, as the config echo names it
+        # the same output dir, as the config echo names it; the thread count differs
+        for extra in (["--threads", "1"], ["--threads", "3", "--force"]):
             assert run_cli(CX_ARGS + ["--out", str(tmp_path)] + extra) == 0
             docs.append(json.loads((tmp_path / "counterexample.json").read_text()))
-        assert {"generated_at"} == set(docs[0].pop("run_env")) == set(docs[1].pop("run_env"))
+        envs = [doc.pop("run_env") for doc in docs]
+        assert {"generated_at", "threads"} == set(envs[0]) == set(envs[1])
+        assert [env["threads"] for env in envs] == [1, 3]
         assert docs[0] == docs[1]
         assert {"subgauss", "numpy", "scipy", "python"} == set(docs[0]["versions"])
 

@@ -179,6 +179,11 @@ class TestTheoremExperiment:
         with pytest.raises(ValidationError):
             TheoremConfig(dims=(8,), kappas=(1.0,), samples_per_cell=100)
 
+    @pytest.mark.parametrize("dims,kappas,key", [((), (1.0,), "dims"), ((8,), (), "kappas")])
+    def test_empty_grid_rejected(self, dims, kappas, key):
+        with pytest.raises(ValidationError, match=f"{key} must not be empty"):
+            TheoremConfig(dims=dims, kappas=kappas)
+
 
 class TestConditionalHoeffding:
     def test_identity_covariance_mgf_within_envelope(self):
@@ -246,6 +251,8 @@ class TestCorollaryExperiment:
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             CorollaryConfig(dims=(8,), w_draws=5)
+        with pytest.raises(ValidationError, match="dims must not be empty"):
+            CorollaryConfig(dims=())
 
     def test_negative_directions_rejected(self):
         with pytest.raises(ValidationError, match="directions"):
@@ -280,6 +287,10 @@ class TestWishartConditioning:
         with pytest.raises(ValidationError, match="trials"):
             WishartConfig(dims=(64,), trials=99, threshold=100.0, seed=0)
         WishartConfig(dims=(64,), trials=100, threshold=100.0, seed=0)
+        with pytest.raises(ValidationError, match="dims must not be empty"):
+            WishartConfig(dims=(), trials=100, threshold=100.0, seed=0)
+        with pytest.raises(ValidationError, match="dims must not be empty"):
+            run_wishart_conditioning([], trials=100, seed=1)
 
     def test_determinism(self):
         a = run_wishart_conditioning([32], trials=100, seed=3)

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subgauss import psi2_estimation
 from subgauss.errors import GridTooWide, InsufficientSamples, ValidationError
 from subgauss.gaussian_core import CovarianceSpec, SampleBatch, sample_gaussian, substream
 from subgauss.psi2_estimation import (
     _compress,
+    _draw_support,
     _orlicz_estimate,
     _orlicz_roots,
     _resample_counts,
@@ -16,6 +18,7 @@ from subgauss.psi2_estimation import (
     mgf_sigma,
     psi2_scalar,
     psi2_vector,
+    scan_directions,
 )
 
 GAUSSIAN_PSI2 = math.sqrt(8.0 / 3.0)          # root of E exp(X^2/t^2) = 2 for N(0,1)
@@ -102,13 +105,71 @@ def bootstrap_support(kind, count=20_000, resamples=50):
         "exact-three-point": lambda: rng.choice([-1.0, 0.5, 2.0], count),
         "exact-sparse": lambda: np.where(rng.random(count) < 1e-3, 40.0, 0.01),
     }[kind]()
-    reps, counts = _compress(x * x, 256)
+    _, squares, counts = _compress(x, 256)  # the support a scan solves
     weights = _resample_counts(counts, count, substream(32, kind), resamples).T
-    return reps, weights, count
+    return squares, weights, count
 
 
 SUPPORTS = ("binned-gaussian", "binned-heavy", "binned-clipped",
             "exact-three-point", "exact-sparse")
+
+
+def reference_compress(values, bins):
+    """The compression with a full sort of every sample: the reference for the
+    prefix shortcut, which must give the same arrays."""
+    uniq, counts = np.unique(values, return_counts=True)
+    if len(uniq) <= bins:
+        return uniq, uniq * uniq, counts
+    lo, hi = float(uniq[0]), float(uniq[-1])
+    idx = np.minimum(((values - lo) * (bins / (hi - lo))).astype(np.int64), bins - 1)
+    cnt = np.bincount(idx, minlength=bins)
+    sums = np.bincount(idx, weights=values, minlength=bins)
+    squares = np.bincount(idx, weights=values * values, minlength=bins)
+    mask = cnt > 0
+    return sums[mask] / cnt[mask], squares[mask] / cnt[mask], cnt[mask]
+
+
+class TestCompress:
+    BINS = 16
+
+    def values(self, distinct, count=5000, seed=0):
+        rng = substream(35, "compress", distinct, seed)
+        levels = rng.standard_normal(distinct)
+        return levels[np.arange(count) % distinct][rng.permutation(count)]
+
+    def assert_matches_reference(self, values):
+        for got, want in zip(_compress(values, self.BINS),
+                             reference_compress(values, self.BINS)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("distinct", (1, 2, 16, 17, 40))
+    def test_matches_full_sort(self, distinct):
+        values = self.values(distinct)
+        reps, squares, counts = _compress(values, self.BINS)
+        assert len(reps) <= self.BINS and counts.sum() == len(values)
+        self.assert_matches_reference(values)
+
+    def test_exact_support_at_bins_distinct(self):
+        values = self.values(self.BINS)
+        reps, squares, counts = _compress(values, self.BINS)
+        np.testing.assert_array_equal(reps, np.unique(values))
+        np.testing.assert_array_equal(squares, reps * reps)
+
+    def test_new_values_after_the_prefix(self):
+        prefix = 2 * self.BINS + 2
+        # the prefix holds bins + 1 distinct values and the tail widens the range
+        head = self.values(self.BINS + 1, count=prefix)
+        tail = np.concatenate([self.values(3, count=100), [-50.0, 50.0]])
+        self.assert_matches_reference(np.concatenate([head, tail]))
+        # the prefix holds bins distinct values and the tail adds more
+        head = self.values(self.BINS, count=prefix)
+        self.assert_matches_reference(np.concatenate([head, self.values(5, count=100)]))
+
+    def test_binned_squares_are_bin_means(self):
+        values = substream(36, "compress").standard_normal(10_000)
+        reps, squares, counts = _compress(values, self.BINS)
+        assert np.all(squares >= reps * reps)  # Jensen within each bin
+        assert squares @ counts == pytest.approx(values @ values, rel=1e-12)
 
 
 class TestOrliczRoots:
@@ -143,9 +204,10 @@ class TestOrliczRoots:
         rng = substream(33, "together")
         samples = [rng.standard_normal(5000), np.sign(rng.standard_normal(5000)),
                    np.zeros(5000), rng.uniform(-1.0, 1.0, 5000)]
-        together = _orlicz_estimate(samples, [substream(34, i) for i in range(4)], 256, 40)
-        for i, x in enumerate(samples):
-            alone = _orlicz_estimate([x], [substream(34, i)], 256, 40)
+        supports = [_draw_support(x, substream(34, i), 256) for i, x in enumerate(samples)]
+        together = _orlicz_estimate(supports, 5000)
+        for i, support in enumerate(supports):
+            alone = _orlicz_estimate([support], 5000)
             np.testing.assert_array_equal(together[i], alone[0])
 
 
@@ -252,6 +314,36 @@ class TestPsi2Vector:
         b = psi2_vector(make_batch(y, seed=3), 4)
         assert (a.value, a.ci_low, a.ci_high) == (b.value, b.ci_low, b.ci_high)
         np.testing.assert_array_equal(a.argmax_direction, b.argmax_direction)
+
+
+class TestSharedDraw:
+    def scan(self, y, **kwargs):
+        return scan_directions(y, 6, 3, 0, (1, 2), **kwargs)
+
+    def data(self):
+        return np.clip(substream(37, "shared").standard_normal((20_000, 4)), -1.5, 1.5)
+
+    def test_one_compression_and_one_draw_per_direction(self, monkeypatch):
+        calls = {"_compress": 0, "_resample_counts": 0}
+        for name in calls:
+            original = getattr(psi2_estimation, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(psi2_estimation, name, counted)
+        scan = self.scan(self.data(), lambda_grid=[0.25, 0.5, 1.0])
+        assert scan.n_directions == 4 + 1 + 6
+        assert calls == {"_compress": 11, "_resample_counts": 11}
+
+    def test_orlicz_estimate_independent_of_mgf_fit(self):
+        y = self.data()
+        plain = self.scan(y)
+        fitted = self.scan(y, lambda_grid=[0.25, 0.5, 1.0])
+        assert (plain.value, plain.ci_low, plain.ci_high) == (
+            fitted.value, fitted.ci_low, fitted.ci_high)
+        assert plain.mgf_sigma_max is None and fitted.mgf_sigma_max > 0.0
 
 
 class TestDirectionSet:
