@@ -30,7 +30,6 @@ from .nonlinearity import (
     smoothed_mean_derivative,
 )
 from .psi2_estimation import (
-    MgfFit,
     Psi2Estimate,
     mgf_sigma,
     psi2_scalar,
@@ -49,7 +48,6 @@ __all__ = [
     "GridTooWide",
     "InsufficientSamples",
     "IoError",
-    "MgfFit",
     "Psi2Estimate",
     "QuadratureNonConvergence",
     "SampleBatch",

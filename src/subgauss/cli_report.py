@@ -409,8 +409,9 @@ def run_cli(argv=None) -> int:
 
     try:
         run = _assemble_run_config(args)
-        threads = max(1, _env_int("SUBGAUSS_THREADS", 1) if args.threads is None
-                      else args.threads)
+        threads = _env_int("SUBGAUSS_THREADS", 1) if args.threads is None else args.threads
+        if threads < 1:
+            raise ValidationError(f"threads must be >= 1, got {threads}")
     except (SchemaError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         print(SCHEMA_HELP, file=sys.stderr)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Optional
 
@@ -120,6 +120,12 @@ def _check_nonempty(name: str, values: tuple) -> None:
         raise ValidationError(f"{name} must not be empty")
 
 
+def _check_dims(dims: tuple, least: int) -> None:
+    _check_nonempty("dims", dims)
+    if any(n < least for n in dims):
+        raise ValidationError(f"dims must be >= {least}, got {dims}")
+
+
 def _check_directions(directions: int) -> None:
     if directions < 0:
         raise ValidationError(f"directions must be >= 0, got {directions}")
@@ -135,10 +141,8 @@ class TheoremConfig:
     seed: int = 42
 
     def __post_init__(self):
-        _check_nonempty("dims", self.dims)
+        _check_dims(self.dims, 2)
         _check_nonempty("kappas", self.kappas)
-        if any(n < 2 for n in self.dims):
-            raise ValidationError(f"dims must be >= 2, got {self.dims}")
         if not all(1 <= k < math.inf for k in self.kappas):  # NaN fails too
             raise ValidationError(f"kappas must be finite and >= 1, got {self.kappas}")
         if self.samples_per_cell < 10_000:
@@ -157,9 +161,7 @@ class CorollaryConfig:
     seed: int = 42
 
     def __post_init__(self):
-        _check_nonempty("dims", self.dims)
-        if any(n < 2 for n in self.dims):
-            raise ValidationError(f"dims must be >= 2, got {self.dims}")
+        _check_dims(self.dims, 2)
         if self.w_draws < 20:
             raise ValidationError(f"w_draws must be >= 20, got {self.w_draws}")
         if self.samples_per_w < 10_000:
@@ -176,7 +178,7 @@ class WishartConfig:
     seed: int
 
     def __post_init__(self):
-        _check_nonempty("dims", self.dims)
+        _check_dims(self.dims, 2)  # partition_rows needs two rows
         if self.trials < 100:
             raise ValidationError(f"trials must be >= 100, got {self.trials}")
         if not math.isfinite(self.threshold):
@@ -190,6 +192,7 @@ class CounterexampleConfig:
     seed: int
 
     def __post_init__(self):
+        _check_dims(self.dims, 1)
         if len(self.dims) < 3 or max(self.dims) < 8 * min(self.dims):
             raise ValidationError(
                 f"counterexample dims need >= 3 values spanning a factor >= 8, "
@@ -222,7 +225,7 @@ def make_conditioned_covariance(n: int, kappa: float, seed: int) -> CovarianceSp
     q, r = np.linalg.qr(a)
     q = q * np.sign(np.diag(r))[None, :]  # fix the sign convention for determinism
     eigvals = np.geomspace(kappa, 1.0, n)
-    return CovarianceSpec.from_factors(q, eigvals, tag="explicit")
+    return CovarianceSpec.from_factors(q, eigvals)
 
 
 def partition_rows(w_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -403,7 +406,7 @@ def run_counterexample(n_list, samples: int, seed: int, *,
         cov = CovarianceSpec.rank_one_ones(n)
         batch = sample_gaussian(cov, samples, subseed(seed, "counterexample"), i,
                                 threads=threads)
-        batch = batch.with_data(np.sign(batch.data), "sgn")  # frees the draws
+        batch = replace(batch, data=np.sign(batch.data))  # frees the draws
         est = psi2_vector(batch, n, center=False, threads=threads)
         exact = math.sqrt(n / math.log(2.0))
         rows.append(ReportRow("counterexample", n, None, "orlicz",

@@ -86,10 +86,9 @@ class CovarianceSpec:
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    constructor_tag: str = "explicit"
 
     @classmethod
-    def from_matrix(cls, matrix, tag: str = "explicit") -> "CovarianceSpec":
+    def from_matrix(cls, matrix) -> "CovarianceSpec":
         m = np.array(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"covariance must be square, got shape {m.shape}")
@@ -99,11 +98,10 @@ class CovarianceSpec:
         sym = (m + m.T) / 2.0
         w, q = np.linalg.eigh(sym)
         w, q = w[::-1].copy(), q[:, ::-1].copy()
-        return cls._build(sym, w, q, tag)
+        return cls._build(sym, w, q)
 
     @classmethod
-    def from_factors(cls, eigenvectors, eigenvalues, tag: str = "explicit",
-                     matrix=None) -> "CovarianceSpec":
+    def from_factors(cls, eigenvectors, eigenvalues, matrix=None) -> "CovarianceSpec":
         """Construct from a known decomposition, skipping the eigensolver."""
         q = np.array(eigenvectors, dtype=float)
         w = np.array(eigenvalues, dtype=float)
@@ -115,10 +113,10 @@ class CovarianceSpec:
         if matrix is None:
             m = (q * w) @ q.T
             matrix = (m + m.T) / 2.0
-        return cls._build(np.asarray(matrix, dtype=float), w, q, tag)
+        return cls._build(np.asarray(matrix, dtype=float), w, q)
 
     @classmethod
-    def _build(cls, sym, w, q, tag) -> "CovarianceSpec":
+    def _build(cls, sym, w, q) -> "CovarianceSpec":
         if w.size and w[-1] < -PSD_TOL:
             raise ValidationError(
                 f"matrix is not PSD: smallest eigenvalue {w[-1]:.3e} < -{PSD_TOL:.0e}")
@@ -127,29 +125,28 @@ class CovarianceSpec:
         if resid > DECOMP_TOL:
             raise ValidationError(f"decomposition residual {resid:.3e} exceeds {DECOMP_TOL:.0e}")
         return cls(dim=sym.shape[0], matrix=_frozen(sym), eigenvalues=_frozen(w),
-                   eigenvectors=_frozen(q), constructor_tag=tag)
+                   eigenvectors=_frozen(q))
 
     # Common constructors ---------------------------------------------------
 
     @classmethod
     def identity(cls, n: int) -> "CovarianceSpec":
-        return cls.from_factors(np.eye(n), np.ones(n), tag="identity", matrix=np.eye(n))
+        return cls.from_factors(np.eye(n), np.ones(n), matrix=np.eye(n))
 
     @classmethod
     def diagonal(cls, values) -> "CovarianceSpec":
         v = np.asarray(values, dtype=float)
         order = np.argsort(v)[::-1]
-        return cls.from_factors(np.eye(len(v))[:, order], v[order],
-                                tag="diagonal", matrix=np.diag(v))
+        return cls.from_factors(np.eye(len(v))[:, order], v[order], matrix=np.diag(v))
 
     @classmethod
     def rank_one_ones(cls, n: int) -> "CovarianceSpec":
-        return cls.from_matrix(np.ones((n, n)), tag="rank-one-ones")
+        return cls.from_matrix(np.ones((n, n)))
 
     @classmethod
     def wishart_of(cls, w_matrix) -> "CovarianceSpec":
         w_matrix = np.asarray(w_matrix, dtype=float)
-        return cls.from_matrix(w_matrix @ w_matrix.T, tag="wishart-of")
+        return cls.from_matrix(w_matrix @ w_matrix.T)
 
     # Spectral quantities ----------------------------------------------------
 
@@ -209,13 +206,6 @@ class SampleBatch:
     data: np.ndarray
     seed: int
     stream_id: int
-    label: str = "direct"
-
-    def with_data(self, data: np.ndarray, label: str) -> "SampleBatch":
-        """Derived batch (e.g. after a coordinate-wise map), keeping provenance."""
-        data = np.asarray(data, dtype=float)
-        return SampleBatch(dim=data.shape[1], count=data.shape[0], data=_read_only(data),
-                           seed=self.seed, stream_id=self.stream_id, label=label)
 
 
 def condition_number(cov: CovarianceSpec) -> float:
@@ -238,7 +228,7 @@ def split_covariance(cov: CovarianceSpec) -> CovarianceSplit:
     a = cov.lambda_min
     residual = CovarianceSpec.from_factors(
         cov.eigenvectors, np.clip(cov.eigenvalues - a, 0.0, None),
-        tag="explicit", matrix=cov.matrix - a * np.eye(cov.dim))
+        matrix=cov.matrix - a * np.eye(cov.dim))
     recon = float(np.max(np.abs(a * np.eye(cov.dim) + residual.matrix - cov.matrix)))
     if recon > PSD_TOL:
         raise ValidationError(f"split reconstruction residual {recon:.3e}")
@@ -271,7 +261,7 @@ def sample_gaussian(cov: CovarianceSpec, count: int, seed: int, stream_id: int,
     data = np.empty((count, cov.dim))
     _fill_chunks(data, seed, stream_id, _LANE_DIRECT, cov.factor_product, threads)
     return SampleBatch(dim=cov.dim, count=count, data=_read_only(data),
-                       seed=int(seed), stream_id=int(stream_id), label="direct")
+                       seed=int(seed), stream_id=int(stream_id))
 
 
 def sample_split_gaussian(split: CovarianceSplit, count: int, seed: int, stream_id: int,
@@ -289,7 +279,7 @@ def sample_split_gaussian(split: CovarianceSplit, count: int, seed: int, stream_
     g = np.empty((count, n))
     _fill_chunks(g, seed, stream_id, _LANE_SPLIT_G, split.residual.factor_product, threads)
     z_batch = SampleBatch(dim=n, count=count, data=_read_only(z),
-                          seed=int(seed), stream_id=int(stream_id), label="split-z")
+                          seed=int(seed), stream_id=int(stream_id))
     g_batch = SampleBatch(dim=n, count=count, data=_read_only(g),
-                          seed=int(seed), stream_id=int(stream_id), label="split-g")
+                          seed=int(seed), stream_id=int(stream_id))
     return z_batch, g_batch

@@ -221,6 +221,8 @@ def get_map(name: str) -> BoundedMap:
             t = float(name.split(":", 1)[1])
         except ValueError as exc:
             raise ValidationError(f"bad threshold level in map name {name!r}") from exc
+        if not math.isfinite(t):  # a non-finite level gives a constant map
+            raise ValidationError(f"threshold level must be finite, got {name!r}")
         return threshold_map(t)
     raise ValidationError(f"unknown map name {name!r}; known: "
                           f"{sorted(_BUILTINS)} or 'threshold:<level>'")

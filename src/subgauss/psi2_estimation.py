@@ -24,6 +24,10 @@ with its direction count.  One kernel, `scan_directions`, runs every such
 scan: it projects the directions in blocks of bounded memory, compresses and
 resamples each projection once for both estimates, solves each block's roots
 together and spreads the blocks over worker threads.
+
+Every norm estimate is one `Psi2Estimate`.  A scan's also holds its direction
+count, the argmax direction and, with a lambda grid, the largest MGF variance
+proxy sigma that `mgf_sigma` fits over the set.
 """
 
 from __future__ import annotations
@@ -57,42 +61,24 @@ _TAG_DIRBOOT = 104
 
 @dataclass(frozen=True)
 class Psi2Estimate:
-    """Point estimate with bootstrap 95% interval for a subgaussian norm."""
+    """Orlicz norm estimate with its bootstrap 95% interval, from n_samples rows.
+
+    A direction scan also gives its direction count, the direction of the
+    largest estimate and, when fitted on a lambda grid, the largest MGF sigma.
+    """
 
     value: float
     ci_low: float
     ci_high: float
-    estimator: str
     n_samples: int
     n_directions: int = 0
     argmax_direction: Optional[np.ndarray] = None
+    mgf_sigma_max: Optional[float] = None
 
     def __post_init__(self):
         if not (self.ci_low <= self.value <= self.ci_high):
             raise ValidationError(
                 f"interval [{self.ci_low}, {self.ci_high}] does not bracket {self.value}")
-
-
-@dataclass(frozen=True)
-class MgfFit:
-    """Fitted variance proxy: smallest sigma with the bootstrap upper band of
-    the log-empirical-MGF below sigma^2 lambda^2 / 2 on the whole grid."""
-
-    sigma: float
-    lambda_grid: np.ndarray
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    """Largest Orlicz estimate over a direction set, where it was attained, and
-    (when a lambda grid was given) the largest fitted MGF sigma."""
-
-    value: float
-    ci_low: float
-    ci_high: float
-    direction: np.ndarray
-    n_directions: int
-    mgf_sigma_max: Optional[float] = None
 
 
 def _compress(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -224,17 +210,19 @@ def psi2_scalar(samples, *, seed: int = 0) -> Psi2Estimate:
     support = _draw_support(x, substream(seed, _TAG_SCALAR), SCALAR_BINS)
     value, lo, hi = _orlicz_estimate([support], len(x))[0]
     return Psi2Estimate(value=float(value), ci_low=float(lo), ci_high=float(hi),
-                        estimator="orlicz", n_samples=len(x))
+                        n_samples=len(x))
 
 
-def mgf_sigma(samples, lambda_grid, *, seed: int = 0, support=None) -> MgfFit:
-    """Fit the smallest sigma dominating the empirical MGF on a symmetric grid.
+def mgf_sigma(samples, lambda_grid, *, seed: int = 0, support=None) -> float:
+    """Smallest sigma with the bootstrap upper band of the log-empirical-MGF
+    below sigma^2 lambda^2 / 2 on the grid, symmetrized as {-|lambda|, |lambda|}.
 
-    Samples are centered internally.  The fit uses the 97.5% bootstrap band of
-    the log-empirical-MGF, so `sigma` already carries the statistical slack.
-    The band is computed on `support`, the sample's draw from `_draw_support`
-    (a scan passes the draw its Orlicz estimate uses); without one, the sample
-    is compressed to SCALAR_BINS points and resampled from `seed`.
+    Samples are centered internally.  The band is the 97.5% percentile of the
+    resampled log-MGF, so sigma already carries the statistical slack.  It is
+    computed on `support`, the sample's draw from `_draw_support` (a scan
+    passes the draw its Orlicz estimate uses); without one, the sample is
+    compressed to SCALAR_BINS points and resampled from `seed`.  An
+    almost-surely-constant sample gives 0.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if len(x) == 0:
@@ -252,13 +240,12 @@ def mgf_sigma(samples, lambda_grid, *, seed: int = 0, support=None) -> MgfFit:
     if support is None and max_abs > ZERO_TOL:
         support = _draw_support(x, substream(seed, _TAG_MGF), SCALAR_BINS)
     if support is None or max_abs <= ZERO_TOL:
-        return MgfFit(sigma=0.0, lambda_grid=grid)
+        return 0.0
 
     reps, _, weights = support
     means = weights @ np.exp(np.outer(reps - mean, grid)) / len(x)
     bands = np.percentile(np.log(means), 97.5, axis=0)
-    sigma = float(np.sqrt(np.max(2.0 * np.clip(bands, 0.0, None) / grid**2)))
-    return MgfFit(sigma=sigma, lambda_grid=grid)
+    return float(np.sqrt(np.max(2.0 * np.clip(bands, 0.0, None) / grid**2)))
 
 
 def direction_set(n: int, n_random: int, rng: np.random.Generator) -> np.ndarray:
@@ -276,10 +263,12 @@ def direction_set(n: int, n_random: int, rng: np.random.Generator) -> np.ndarray
 
 
 def scan_directions(y: np.ndarray, n_random: int, seed: int, stream_id: int, tags: tuple,
-                    *, lambda_grid=None, threads: int = 1) -> ScanResult:
+                    *, lambda_grid=None, threads: int = 1) -> Psi2Estimate:
     """Max bootstrap Orlicz estimate of the projections y @ v over the canonical
-    + all-ones + n_random random direction set, and with a lambda grid the max
-    fitted MGF sigma over the same set.
+    + all-ones + n_random random direction set, as a Psi2Estimate holding its
+    interval, the rows of y, the direction count and the argmax direction; with
+    a lambda grid, its mgf_sigma_max is the max fitted MGF sigma over the same
+    set, and without one it is None.
 
     tags = (direction tag, bootstrap tag) name the substreams: the set is
     drawn from substream(seed, stream_id, direction tag), and direction d
@@ -314,7 +303,7 @@ def scan_directions(y: np.ndarray, n_random: int, seed: int, stream_id: int, tag
         estimates = _orlicz_estimate(supports, rows)
         if lambda_grid is None:
             return estimates, []
-        return estimates, [mgf_sigma(x, lambda_grid, support=support).sigma
+        return estimates, [mgf_sigma(x, lambda_grid, support=support)
                            for x, support in zip(proj, supports)]
 
     results = thread_map(work, blocks, threads)
@@ -322,9 +311,9 @@ def scan_directions(y: np.ndarray, n_random: int, seed: int, stream_id: int, tag
     best = int(np.argmax(estimates[:, 0]))
     value, lo, hi = (float(v) for v in estimates[best])
     sigmas = [sigma for _, block_sigmas in results for sigma in block_sigmas]
-    return ScanResult(value=value, ci_low=lo, ci_high=hi, direction=dirs[best].copy(),
-                      n_directions=len(dirs),
-                      mgf_sigma_max=max(sigmas) if lambda_grid is not None else None)
+    return Psi2Estimate(value=value, ci_low=lo, ci_high=hi, n_samples=rows,
+                        n_directions=len(dirs), argmax_direction=dirs[best].copy(),
+                        mgf_sigma_max=max(sigmas) if lambda_grid is not None else None)
 
 
 def psi2_vector(batch: SampleBatch, direction_budget: int, *, center: bool = True,
@@ -345,8 +334,5 @@ def psi2_vector(batch: SampleBatch, direction_budget: int, *, center: bool = Tru
     y = np.asarray(batch.data, dtype=float)
     if center:
         y = y - y.mean(axis=0)
-    scan = scan_directions(y, direction_budget, batch.seed, batch.stream_id,
+    return scan_directions(y, direction_budget, batch.seed, batch.stream_id,
                            (_TAG_DIRS, _TAG_DIRBOOT), threads=threads)
-    return Psi2Estimate(value=scan.value, ci_low=scan.ci_low, ci_high=scan.ci_high,
-                        estimator="orlicz", n_samples=batch.count,
-                        n_directions=scan.n_directions, argmax_direction=scan.direction)

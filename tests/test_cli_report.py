@@ -245,10 +245,20 @@ class TestParameterTable:
         ["counterexample", "--samples", "5000"],
         ["counterexample", "--dims", "8,16,32"],
         ["wishart", "--trials", "50"],
+        ["wishart", "--dims", "1"],
+        ["counterexample", "--dims", "0,8,64"],
+        ["counterexample", "--dims=-1,8,64"],
+        ["theorem", "--threads", "0"],
     ])
     def test_precondition_exits_64_before_any_study(self, args, tmp_path):
         out = tmp_path / "out"
         assert run_cli(args + ["--out", str(out)]) == 64
+        assert not out.exists()
+
+    def test_thread_count_from_env_below_one_exits_64(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("SUBGAUSS_THREADS", "0")
+        out = tmp_path / "out"
+        assert run_cli(["wishart", "--out", str(out)]) == 64
         assert not out.exists()
 
     def test_flag_overrides_config_value(self, tmp_path):
@@ -272,7 +282,9 @@ class TestParameterTable:
     @pytest.mark.parametrize("study,key,text,json_value", [
         ("theorem", "kappas", "nan", "[NaN]"), ("theorem", "kappas", "inf", "[Infinity]"),
         ("theorem", "kappas", "-inf", "[-Infinity]"), ("wishart", "threshold", "nan", "NaN"),
-        ("wishart", "threshold", "inf", "Infinity")])
+        ("wishart", "threshold", "inf", "Infinity"),
+        ("theorem", "maps", "threshold:nan", '["threshold:nan"]'),
+        ("theorem", "maps", "threshold:inf", '["threshold:inf"]')])
     def test_non_finite_number_is_a_config_error(self, study, key, text, json_value, tmp_path):
         with pytest.raises(ValidationError, match="finite"):
             parse_config(f'{{"experiment":"{study}","{key}":{json_value}}}')

@@ -196,8 +196,8 @@ class TestConditionalHoeffding:
         y = y - y.mean(axis=0)
         dirs = direction_set(n, 50, substream(4, "hoeffding"))[n + 1 :]  # 50 random
         for d, v in enumerate(dirs):
-            fit = mgf_sigma(y @ v, [0.25, 0.5, 1.0], seed=d)
-            assert fit.sigma <= 2.0
+            sigma = mgf_sigma(y @ v, [0.25, 0.5, 1.0], seed=d)
+            assert sigma <= 2.0
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +291,10 @@ class TestWishartConditioning:
             WishartConfig(dims=(), trials=100, threshold=100.0, seed=0)
         with pytest.raises(ValidationError, match="dims must not be empty"):
             run_wishart_conditioning([], trials=100, seed=1)
+        for dims in ((1,), (0, 64), (64, -2)):  # a half block needs two rows
+            with pytest.raises(ValidationError, match="dims must be >= 2"):
+                WishartConfig(dims=dims, trials=100, threshold=100.0, seed=0)
+        WishartConfig(dims=(2,), trials=100, threshold=100.0, seed=0)
 
     def test_determinism(self):
         a = run_wishart_conditioning([32], trials=100, seed=3)
@@ -315,6 +319,12 @@ class TestCounterexample:
             run_counterexample([8, 16], samples=20_000, seed=0)
         with pytest.raises(ValidationError):
             run_counterexample([8, 16, 32], samples=20_000, seed=0)
+        for dims in ((0, 8, 64), (-1, 8, 64), (8, 0, 64)):
+            with pytest.raises(ValidationError, match="dims must be >= 1"):
+                CounterexampleConfig(dims=dims, samples=20_000, seed=0)
+            with pytest.raises(ValidationError, match="dims must be >= 1"):
+                run_counterexample(list(dims), samples=20_000, seed=0)
+        CounterexampleConfig(dims=(1, 2, 8), samples=20_000, seed=0)
 
     def test_samples_floor(self):
         # psi2_vector needs 1e4 draws; the config refuses fewer before sampling

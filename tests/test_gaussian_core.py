@@ -48,7 +48,6 @@ class TestCovarianceSpec:
 
     def test_diagonal_constructor(self):
         cov = CovarianceSpec.diagonal([1.0, 4.0])
-        assert cov.constructor_tag == "diagonal"
         np.testing.assert_array_equal(cov.eigenvalues, [4.0, 1.0])
 
     def test_matrix_is_immutable(self):
@@ -175,14 +174,6 @@ class TestSampleBatchData:
     def test_sampled_data_is_read_only(self):
         batch = sample_gaussian(CovarianceSpec.identity(3), 100, seed=1, stream_id=0)
         assert not batch.data.flags.writeable
-
-    def test_with_data_shares_memory_and_leaves_caller_writable(self):
-        batch = sample_gaussian(CovarianceSpec.identity(3), 100, seed=1, stream_id=0)
-        mapped = np.sign(batch.data)
-        derived = batch.with_data(mapped, "sgn")
-        assert not derived.data.flags.writeable
-        assert np.shares_memory(derived.data, mapped)
-        assert mapped.flags.writeable
 
 
 class TestSampleSplitGaussian:
