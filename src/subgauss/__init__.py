@@ -16,7 +16,6 @@ from .errors import (
 from .gaussian_core import (
     CovarianceSpec,
     CovarianceSplit,
-    SampleBatch,
     condition_number,
     sample_gaussian,
     sample_split_gaussian,
@@ -33,7 +32,6 @@ from .psi2_estimation import (
     Psi2Estimate,
     mgf_sigma,
     psi2_scalar,
-    psi2_vector,
 )
 
 __version__ = "0.1.0"
@@ -50,7 +48,6 @@ __all__ = [
     "IoError",
     "Psi2Estimate",
     "QuadratureNonConvergence",
-    "SampleBatch",
     "SchemaError",
     "SingularCovariance",
     "SubgaussError",
@@ -60,7 +57,6 @@ __all__ = [
     "lipschitz_certificate",
     "mgf_sigma",
     "psi2_scalar",
-    "psi2_vector",
     "sample_gaussian",
     "sample_split_gaussian",
     "smoothed_mean",

@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy import special
 
 from . import __version__
 from .errors import IoError, SchemaError, SubgaussError, ValidationError
@@ -303,7 +302,7 @@ def run_selftest() -> int:
     for a in (0.25, 1.0, 4.0):
         for x in np.arange(-5.0, 5.0 + 1e-9, 0.1):
             dev = abs(smoothed_mean_quadrature(sgn, a, x)
-                      - special.erf(x / math.sqrt(2.0 * a)))
+                      - math.erf(x / math.sqrt(2.0 * a)))
             worst = max(worst, dev)
     checks.append(("smoothed_mean(sgn) vs erf on grid", worst <= 1e-6,
                    f"max dev {worst:.2e} (tol 1e-06)"))

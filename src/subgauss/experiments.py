@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
@@ -36,7 +36,7 @@ from .gaussian_core import (
     substream,
 )
 from .nonlinearity import get_map
-from .psi2_estimation import psi2_vector, scan_directions
+from .psi2_estimation import scan_directions
 
 LAMBDA_GRID = (0.25, 0.5, 1.0)   # MGF check grid, symmetrized internally
 FLATNESS_BOUND = 1.3             # max/min ratio separating O(1) from sqrt(n) growth
@@ -44,8 +44,6 @@ KAPPA_WINDOW = (20.0, 50.0)      # asymptotic-regime window for median kappa of 
 EXCEEDANCE_THRESHOLD = 100.0     # reporting proxy for the ill-conditioned event
 EXCEEDANCE_RATE_BOUND = 0.01
 SLOPE_WINDOW_HALFWIDTH = 0.05    # accepted deviation of the log-log slope from 1/2
-
-_SCAN_TAGS = (201, 202)          # direction-set and bootstrap substreams of a scan
 
 
 # Report structures ----------------------------------------------------------
@@ -197,7 +195,7 @@ class CounterexampleConfig:
             raise ValidationError(
                 f"counterexample dims need >= 3 values spanning a factor >= 8, "
                 f"got {list(self.dims)}")
-        if self.samples < 10_000:  # the floor of psi2_vector
+        if self.samples < 10_000:  # the row floor of every vector-norm study
             raise ValidationError(f"samples must be >= 1e4, got {self.samples}")
 
 
@@ -249,7 +247,7 @@ def _centered_image(bmap, cov: CovarianceSpec, count: int, seed: int, stream_id:
                     threads: int) -> np.ndarray:
     """phi(X) for count draws of X ~ N(0, cov), the second half centered by the
     mean of the first.  The draws and the uncentered image are freed on return."""
-    y = np.asarray(bmap(sample_gaussian(cov, count, seed, stream_id, threads=threads).data))
+    y = np.asarray(bmap(sample_gaussian(cov, count, seed, stream_id, threads=threads)))
     half = count // 2
     return y[half:] - y[:half].mean(axis=0)
 
@@ -259,8 +257,9 @@ def run_theorem_experiment(cfg: TheoremConfig, *, threads: int = 1) -> Experimen
     the mean of an independent half, and scan the direction set for the max
     Orlicz estimate and the max fitted MGF sigma.
 
-    The pass gate on each cell is the MGF-form constant: fitted sigma at most
-    2 sqrt(kappa).  Orlicz estimates are reported as informational rows.
+    The pass gate on each cell is the theorem's variance proxy: fitted sigma
+    at most sqrt(4 + (2/pi)(kappa - 1)).  Orlicz estimates are reported as
+    informational rows.
     """
     bmap = get_map(cfg.map_name)
     eff_seed = subseed(cfg.seed, "theorem", cfg.map_name)
@@ -270,11 +269,11 @@ def run_theorem_experiment(cfg: TheoremConfig, *, threads: int = 1) -> Experimen
     for cell, (n, kappa) in enumerate(product(cfg.dims, cfg.kappas)):
         cov = make_conditioned_covariance(n, kappa, subseed(eff_seed, "cov", cell))
         centered = _centered_image(bmap, cov, cfg.samples_per_cell, eff_seed, cell, threads)
-        scan = scan_directions(centered, cfg.directions, eff_seed, cell, _SCAN_TAGS,
+        scan = scan_directions(centered, cfg.directions, eff_seed, cell,
                                lambda_grid=LAMBDA_GRID, threads=threads)
         del centered  # the next cell samples before this name is rebound
         rows.append(ReportRow("theorem", n, kappa, f"mgf_fit:{cfg.map_name}",
-                              scan.mgf_sigma_max, bound=2.0 * math.sqrt(kappa)))
+                              scan.mgf_sigma_max, bound=math.sqrt(sigma_sq_bound(kappa))))
         rows.append(ReportRow("theorem", n, kappa, f"orlicz:{cfg.map_name}",
                               scan.value, scan.ci_low, scan.ci_high))
         orlicz_by_kappa[kappa][n] = scan.value
@@ -311,7 +310,7 @@ def run_corollary_experiment(cfg: CorollaryConfig, *, threads: int = 1) -> Exper
             kappa2 = condition_number(CovarianceSpec.wishart_of(w2))
             x = sample_gaussian(CovarianceSpec.identity(n), cfg.samples_per_w,
                                 eff_seed, w_idx, threads=threads)
-            y = np.sign(x.data @ w_matrix.T)
+            y = np.sign(x @ w_matrix.T)
             tag = f"w{w_idx:02d}"
 
             # Symmetry of W x about the origin: coordinate means should sit
@@ -328,12 +327,13 @@ def run_corollary_experiment(cfg: CorollaryConfig, *, threads: int = 1) -> Exper
                 mb = y_block.shape[1]
                 scan = scan_directions(y_block, cfg.directions, eff_seed,
                                        subseed(eff_seed, "block", w_idx, b) % (2**32),
-                                       _SCAN_TAGS, lambda_grid=LAMBDA_GRID, threads=threads)
+                                       lambda_grid=LAMBDA_GRID, threads=threads)
                 trivial = math.sqrt(mb / math.log(2.0))
                 rows.append(ReportRow("corollary", n, kappa_b, f"orlicz:{tag}:block{b}",
                                       scan.value, scan.ci_low, scan.ci_high, bound=trivial))
                 rows.append(ReportRow("corollary", n, kappa_b, f"mgf_fit:{tag}:block{b}",
-                                      scan.mgf_sigma_max, bound=2.0 * math.sqrt(kappa_b)))
+                                      scan.mgf_sigma_max,
+                                      bound=math.sqrt(sigma_sq_bound(kappa_b))))
                 blocks.append(scan)
 
             combined = blocks[0].value + blocks[1].value
@@ -341,7 +341,7 @@ def run_corollary_experiment(cfg: CorollaryConfig, *, threads: int = 1) -> Exper
             rows.append(ReportRow("corollary", n, None, f"combined:{tag}", combined))
 
             full = scan_directions(y, cfg.directions, eff_seed,
-                                   subseed(eff_seed, "full", w_idx) % (2**32), _SCAN_TAGS,
+                                   subseed(eff_seed, "full", w_idx) % (2**32),
                                    threads=threads)
             rows.append(ReportRow("corollary", n, None, f"orlicz:{tag}:full",
                                   full.value, full.ci_low, full.ci_high))
@@ -400,14 +400,16 @@ def run_counterexample(n_list, samples: int, seed: int, *,
     """
     n_list = [int(n) for n in n_list]
     CounterexampleConfig(tuple(n_list), samples, seed)  # checks the preconditions
+    eff_seed = subseed(seed, "counterexample")
     rows = []
     values = []
     for i, n in enumerate(n_list):
-        cov = CovarianceSpec.rank_one_ones(n)
-        batch = sample_gaussian(cov, samples, subseed(seed, "counterexample"), i,
-                                threads=threads)
-        batch = replace(batch, data=np.sign(batch.data))  # frees the draws
-        est = psi2_vector(batch, n, center=False, threads=threads)
+        # Rebinding y frees the previous dimension's signs before the sign copy
+        # is made, and then the draws before the scan.
+        y = sample_gaussian(CovarianceSpec.rank_one_ones(n), samples, eff_seed, i,
+                            threads=threads)
+        y = np.sign(y)
+        est = scan_directions(y, n, eff_seed, i, threads=threads)
         exact = math.sqrt(n / math.log(2.0))
         rows.append(ReportRow("counterexample", n, None, "orlicz",
                               est.value, est.ci_low, est.ci_high))

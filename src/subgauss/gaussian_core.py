@@ -61,10 +61,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
-    """Read-only view of a float array: no copy, and the caller's array keeps its flags."""
-    view = np.asarray(a, dtype=float).view()
-    view.setflags(write=False)
-    return view
+    """a, with writing switched off."""
+    a.setflags(write=False)
+    return a
 
 
 def thread_map(work, jobs, threads: int) -> list:
@@ -197,17 +196,6 @@ class CovarianceSplit:
     residual: CovarianceSpec
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    """Seeded, reproducible block of i.i.d. vector draws."""
-
-    dim: int
-    count: int
-    data: np.ndarray
-    seed: int
-    stream_id: int
-
-
 def condition_number(cov: CovarianceSpec) -> float:
     """Ratio of the extreme eigenvalues, lambda_max / lambda_min."""
     if cov.is_singular:
@@ -250,8 +238,9 @@ def _fill_chunks(out: np.ndarray, seed, stream_id, lane, product, threads: int) 
 
 
 def sample_gaussian(cov: CovarianceSpec, count: int, seed: int, stream_id: int,
-                    *, threads: int = 1) -> SampleBatch:
-    """Draw count i.i.d. N(0, Sigma) rows via the spectral factor.
+                    *, threads: int = 1) -> np.ndarray:
+    """Draw count i.i.d. N(0, Sigma) rows via the spectral factor, as a
+    read-only count x n array.
 
     Deterministic per (seed, stream_id) and independent of `threads`.
     Singular covariances are allowed.
@@ -260,13 +249,13 @@ def sample_gaussian(cov: CovarianceSpec, count: int, seed: int, stream_id: int,
         raise ValidationError(f"count must be >= 1, got {count}")
     data = np.empty((count, cov.dim))
     _fill_chunks(data, seed, stream_id, _LANE_DIRECT, cov.factor_product, threads)
-    return SampleBatch(dim=cov.dim, count=count, data=_read_only(data),
-                       seed=int(seed), stream_id=int(stream_id))
+    return _read_only(data)
 
 
 def sample_split_gaussian(split: CovarianceSplit, count: int, seed: int, stream_id: int,
-                          *, threads: int = 1) -> tuple[SampleBatch, SampleBatch]:
-    """Draw the isotropic part Z ~ N(0, I) and residual part G ~ N(0, Sigma_G).
+                          *, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the isotropic part Z ~ N(0, I) and residual part G ~ N(0, Sigma_G),
+    as read-only count x n arrays.
 
     Z and G come from independent substreams; sqrt(a)*Z + G has the law of the
     original covariance.
@@ -278,8 +267,4 @@ def sample_split_gaussian(split: CovarianceSplit, count: int, seed: int, stream_
     _fill_chunks(z, seed, stream_id, _LANE_SPLIT_Z, None, threads)
     g = np.empty((count, n))
     _fill_chunks(g, seed, stream_id, _LANE_SPLIT_G, split.residual.factor_product, threads)
-    z_batch = SampleBatch(dim=n, count=count, data=_read_only(z),
-                          seed=int(seed), stream_id=int(stream_id))
-    g_batch = SampleBatch(dim=n, count=count, data=_read_only(g),
-                          seed=int(seed), stream_id=int(stream_id))
-    return z_batch, g_batch
+    return _read_only(z), _read_only(g)

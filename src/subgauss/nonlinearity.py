@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
-from scipy.integrate import quad
 
 from .errors import BoundViolation, QuadratureNonConvergence, ValidationError
 
@@ -69,6 +67,8 @@ def _panels(x: float, a: float, breakpoints) -> tuple[float, float, list[float]]
 
 
 def _quad_checked(integrand, lo, hi, pts, what: str) -> float:
+    from scipy.integrate import quad  # here, so importing the package does not load it
+
     result = quad(integrand, lo, hi, points=pts or None,
                   epsabs=QUAD_ABS_TOL, epsrel=QUAD_ABS_TOL, limit=500, full_output=1)
     value, abserr = result[0], result[1]
@@ -160,7 +160,7 @@ def lipschitz_certificate(bmap: BoundedMap, a: float) -> tuple[float, float]:
 # Built-in map registry ------------------------------------------------------
 
 def _sgn_mean(a, x):
-    return float(special.erf(x / math.sqrt(2.0 * a)))
+    return math.erf(x / math.sqrt(2.0 * a))
 
 
 def _sgn_deriv(a, x):
@@ -184,8 +184,7 @@ def threshold_map(t: float) -> BoundedMap:
         lambda x, _t=t: np.where(np.asarray(x, dtype=float) >= _t, 1.0, -1.0),
         1.0,
         breakpoints=(t,),
-        closed_form_smoothed_mean=lambda a, x, _t=t: float(
-            special.erf((x - _t) / math.sqrt(2.0 * a))),
+        closed_form_smoothed_mean=lambda a, x, _t=t: math.erf((x - _t) / math.sqrt(2.0 * a)),
         closed_form_smoothed_mean_derivative=lambda a, x, _t=t: (
             math.sqrt(2.0 / (math.pi * a)) * math.exp(-(x - _t) ** 2 / (2.0 * a))),
     )

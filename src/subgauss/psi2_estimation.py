@@ -1,4 +1,4 @@
-"""Empirical subgaussian norms for scalar samples and vector batches.
+"""Empirical subgaussian norms for scalar and vector samples.
 
 Scalar norm: the Orlicz form inf{t > 0 : E exp(X^2/t^2) <= 2}.  The raw
 empirical-mean criterion has heavy sample variance near the true root, so the
@@ -20,10 +20,10 @@ resolutions.
 Vector norm: maximum of the scalar norm over a declared direction set
 (canonical basis + normalized all-ones + seeded random unit vectors).  The
 search is a lower bound on the true supremum over the sphere and is reported
-with its direction count.  One kernel, `scan_directions`, runs every such
-scan: it projects the directions in blocks of bounded memory, compresses and
-resamples each projection once for both estimates, solves each block's roots
-together and spreads the blocks over worker threads.
+with its direction count.  One entry, `scan_directions`, runs every such
+scan on a rows x n array: it projects the directions in blocks of bounded
+memory, compresses and resamples each projection once for both estimates,
+solves each block's roots together and spreads the blocks over worker threads.
 
 Every norm estimate is one `Psi2Estimate`.  A scan's also holds its direction
 count, the argmax direction and, with a lambda grid, the largest MGF variance
@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import GridTooWide, InsufficientSamples, ValidationError
-from .gaussian_core import SampleBatch, substream, thread_map
+from .gaussian_core import substream, thread_map
 
 RESAMPLES = 200          # bootstrap resamples for medians and 95% percentile CIs
 SCALAR_BINS = 4096       # support compression for the standalone scalar estimator
@@ -55,8 +55,8 @@ _LOG2 = math.log(2.0)
 
 _TAG_SCALAR = 101
 _TAG_MGF = 102
-_TAG_DIRS = 103
-_TAG_DIRBOOT = 104
+_TAG_SCAN_DIRS = 201     # substream of a scan's direction set
+_TAG_SCAN_BOOT = 202     # substreams of a scan's per-direction resamples
 
 
 @dataclass(frozen=True)
@@ -169,8 +169,12 @@ def _draw_support(x: np.ndarray, rng: np.random.Generator, bins: int):
     """(representatives, mean squares, weights) of sample x: its support
     compressed to at most `bins` points, and RESAMPLES rows of multinomial
     counts over it drawn with rng, each row summing to len(x).  An
-    almost-surely-zero sample gives None and draws nothing."""
-    if float(np.max(np.abs(x))) <= ZERO_TOL:
+    almost-surely-zero sample gives None and draws nothing; a sample with a
+    NaN or infinite value raises ValidationError."""
+    max_abs = float(np.max(np.abs(x)))
+    if not math.isfinite(max_abs):
+        raise ValidationError(f"sample has a non-finite value (max |x| = {max_abs})")
+    if max_abs <= ZERO_TOL:
         return None
     reps, squares, counts = _compress(x, bins)
     return reps, squares, _resample_counts(counts, len(x), rng, RESAMPLES)
@@ -234,6 +238,8 @@ def mgf_sigma(samples, lambda_grid, *, seed: int = 0, support=None) -> float:
         raise ValidationError("lambda grid must contain nonzero points")
     grid = np.concatenate([-lam[::-1], lam])
     max_abs = float(max(x.max() - mean, mean - x.min()))  # max |x - mean|
+    if not math.isfinite(max_abs):  # a NaN or infinite value
+        raise ValidationError(f"sample has a non-finite value (max |x - mean| = {max_abs})")
     if lam[-1] * max_abs > MGF_EXP_GUARD:
         raise GridTooWide(
             f"lambda*max|X| = {lam[-1] * max_abs:.3g} exceeds {MGF_EXP_GUARD}")
@@ -262,21 +268,20 @@ def direction_set(n: int, n_random: int, rng: np.random.Generator) -> np.ndarray
     return np.vstack(rows)
 
 
-def scan_directions(y: np.ndarray, n_random: int, seed: int, stream_id: int, tags: tuple,
+def scan_directions(y, n_random: int, seed: int, stream_id: int,
                     *, lambda_grid=None, threads: int = 1) -> Psi2Estimate:
     """Max bootstrap Orlicz estimate of the projections y @ v over the canonical
     + all-ones + n_random random direction set, as a Psi2Estimate holding its
     interval, the rows of y, the direction count and the argmax direction; with
     a lambda grid, its mgf_sigma_max is the max fitted MGF sigma over the same
-    set, and without one it is None.
+    set, and without one it is None.  y is a rows x n array, used uncentered.
 
-    tags = (direction tag, bootstrap tag) name the substreams: the set is
-    drawn from substream(seed, stream_id, direction tag), and direction d
-    draws its one resample matrix from substream(seed, stream_id, bootstrap
-    tag, d), so its draws do not depend on the budget and the estimate does
-    not fall as the budget grows.  Each projection is compressed once and
-    resampled once: its Orlicz estimate and its MGF fit read the same weights,
-    the MGF on the representatives shifted by the projection's mean.
+    The set is drawn from substream(seed, stream_id, 201), and direction d
+    draws its one resample matrix from substream(seed, stream_id, 202, d), so
+    its draws do not depend on the budget and the estimate does not fall as
+    the budget grows.  Each projection is compressed once and resampled once:
+    its Orlicz estimate and its MGF fit read the same weights, the MGF on the
+    representatives shifted by the projection's mean.
 
     Directions go in fixed blocks whose working set fits SCAN_BLOCK_BYTES, so
     the full rows x directions projection is never built.  Blocks run on
@@ -285,9 +290,13 @@ def scan_directions(y: np.ndarray, n_random: int, seed: int, stream_id: int, tag
     product can round its last bits differently when its width changes, which
     only the last block of a smaller budget sees.)
     """
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 2 or 0 in y.shape:
+        raise ValidationError(f"need a 2-D sample with rows and columns, got shape {y.shape}")
+    if n_random < 0:
+        raise ValidationError(f"n_random must be >= 0, got {n_random}")
     rows, n = y.shape
-    dir_tag, boot_tag = tags
-    dirs = direction_set(n, n_random, substream(seed, stream_id, dir_tag))
+    dirs = direction_set(n, n_random, substream(seed, stream_id, _TAG_SCAN_DIRS))
     # One direction holds its projection and about six resamples x bins arrays
     # in the root solve.
     size = max(1, SCAN_BLOCK_BYTES // (8 * (rows + 6 * RESAMPLES * SCAN_BINS)))
@@ -298,7 +307,7 @@ def scan_directions(y: np.ndarray, n_random: int, seed: int, stream_id: int, tag
 
     def work(block):
         proj = dirs[block.start:block.stop] @ y_t
-        supports = [_draw_support(x, substream(seed, stream_id, boot_tag, d), SCAN_BINS)
+        supports = [_draw_support(x, substream(seed, stream_id, _TAG_SCAN_BOOT, d), SCAN_BINS)
                     for x, d in zip(proj, block)]
         estimates = _orlicz_estimate(supports, rows)
         if lambda_grid is None:
@@ -314,25 +323,3 @@ def scan_directions(y: np.ndarray, n_random: int, seed: int, stream_id: int, tag
     return Psi2Estimate(value=value, ci_low=lo, ci_high=hi, n_samples=rows,
                         n_directions=len(dirs), argmax_direction=dirs[best].copy(),
                         mgf_sigma_max=max(sigmas) if lambda_grid is not None else None)
-
-
-def psi2_vector(batch: SampleBatch, direction_budget: int, *, center: bool = True,
-                threads: int = 1) -> Psi2Estimate:
-    """Maximum scalar norm over the declared direction set of a vector batch.
-
-    Requires at least 1e4 rows and a random-direction budget of at least the
-    dimension.  Per-direction bootstrap substreams are derived from the batch
-    seed, so estimates are reproducible for any evaluation schedule and never
-    decrease when the direction set grows.  `threads` changes speed only.
-    """
-    if batch.count < 10_000:
-        raise InsufficientSamples(f"need at least 1e4 draws, got {batch.count}")
-    n = batch.dim
-    if direction_budget < n:
-        raise ValidationError(
-            f"direction budget {direction_budget} below dimension {n}")
-    y = np.asarray(batch.data, dtype=float)
-    if center:
-        y = y - y.mean(axis=0)
-    return scan_directions(y, direction_budget, batch.seed, batch.stream_id,
-                           (_TAG_DIRS, _TAG_DIRBOOT), threads=threads)

@@ -138,6 +138,11 @@ class TestTheoremExperiment:
         for row in rows:
             assert row.value <= 2.0 * math.sqrt(row.kappa)
 
+    def test_mgf_bound_is_the_variance_proxy(self, small_theorem_report):
+        _, report = small_theorem_report
+        for row in report.select("mgf_fit"):
+            assert row.bound == math.sqrt(sigma_sq_bound(row.kappa))
+
     def test_identity_cells_match_rademacher_proxy(self, small_theorem_report):
         # kappa = 1 with sgn gives i.i.d. +-1 coordinates: true sigma is 1 < 2
         _, report = small_theorem_report
@@ -192,7 +197,7 @@ class TestConditionalHoeffding:
         # envelope exp(2 lambda^2)).
         n, count = 32, 20_000
         x = sample_gaussian(CovarianceSpec.identity(n), count, seed=3, stream_id=0)
-        y = np.sign(x.data)
+        y = np.sign(x)
         y = y - y.mean(axis=0)
         dirs = direction_set(n, 50, substream(4, "hoeffding"))[n + 1 :]  # 50 random
         for d, v in enumerate(dirs):
@@ -214,6 +219,13 @@ class TestCorollaryExperiment:
         assert len(rows) == 2 * 20 * 2
         for row in rows:
             assert row.value <= 2.0 * math.sqrt(row.kappa)
+
+    def test_mgf_bound_is_the_variance_proxy(self, small_corollary_report):
+        _, report = small_corollary_report
+        rows = report.select("mgf_fit")
+        assert len(rows) == 2 * 20 * 2
+        for row in rows:
+            assert row.bound == math.sqrt(sigma_sq_bound(row.kappa))
 
     def test_trivial_fallback_bound(self, small_corollary_report):
         # deterministic bound: |<v, Y1>| <= sqrt(m) gives norm <= sqrt(m/ln 2)
@@ -327,7 +339,7 @@ class TestCounterexample:
         CounterexampleConfig(dims=(1, 2, 8), samples=20_000, seed=0)
 
     def test_samples_floor(self):
-        # psi2_vector needs 1e4 draws; the config refuses fewer before sampling
+        # the scan needs 1e4 draws; the config refuses fewer before sampling
         with pytest.raises(ValidationError, match="samples"):
             CounterexampleConfig(dims=(8, 16, 64), samples=9_999, seed=0)
         with pytest.raises(ValidationError, match="samples"):

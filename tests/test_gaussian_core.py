@@ -108,40 +108,40 @@ class TestSplitCovariance:
 class TestSampleGaussian:
     def test_identity_empirical_covariance(self):
         # law-of-large-numbers oracle at m = 1e5
-        batch = sample_gaussian(CovarianceSpec.identity(8), 10**5, seed=1, stream_id=0)
-        emp = batch.data.T @ batch.data / batch.count
+        x = sample_gaussian(CovarianceSpec.identity(8), 10**5, seed=1, stream_id=0)
+        emp = x.T @ x / x.shape[0]
         assert np.max(np.abs(emp - np.eye(8))) < 0.05
 
     def test_rank_one_rows_constant(self):
-        batch = sample_gaussian(CovarianceSpec.rank_one_ones(16), 500, seed=2, stream_id=0)
-        spread = batch.data.max(axis=1) - batch.data.min(axis=1)
+        x = sample_gaussian(CovarianceSpec.rank_one_ones(16), 500, seed=2, stream_id=0)
+        spread = x.max(axis=1) - x.min(axis=1)
         assert spread.max() <= 1e-12
 
     def test_determinism(self):
         cov = wishart_spec(4, 8, seed=5)
         b1 = sample_gaussian(cov, 5000, seed=9, stream_id=3)
         b2 = sample_gaussian(cov, 5000, seed=9, stream_id=3)
-        np.testing.assert_array_equal(b1.data, b2.data)
+        np.testing.assert_array_equal(b1, b2)
 
     def test_stream_separation(self):
         cov = CovarianceSpec.identity(4)
         b1 = sample_gaussian(cov, 1000, seed=9, stream_id=0)
         b2 = sample_gaussian(cov, 1000, seed=9, stream_id=1)
-        assert not np.array_equal(b1.data, b2.data)
+        assert not np.array_equal(b1, b2)
 
     def test_thread_count_invariance(self):
         cov = wishart_spec(6, 12, seed=6)
         count = 3 * CHUNK_SIZE + 17  # several chunks plus a ragged tail
         single = sample_gaussian(cov, count, seed=4, stream_id=1, threads=1)
         multi = sample_gaussian(cov, count, seed=4, stream_id=1, threads=4)
-        np.testing.assert_array_equal(single.data, multi.data)
+        np.testing.assert_array_equal(single, multi)
 
     def test_chunk_concatenation_matches(self):
         # the first CHUNK_SIZE rows of a long batch equal a one-chunk batch
         cov = CovarianceSpec.identity(3)
         long = sample_gaussian(cov, CHUNK_SIZE + 100, seed=8, stream_id=2)
         short = sample_gaussian(cov, CHUNK_SIZE, seed=8, stream_id=2)
-        np.testing.assert_array_equal(long.data[:CHUNK_SIZE], short.data)
+        np.testing.assert_array_equal(long[:CHUNK_SIZE], short)
 
     def test_count_validation(self):
         with pytest.raises(ValidationError):
@@ -170,22 +170,25 @@ class TestFactorProduct:
         np.testing.assert_array_equal(factor.sum(axis=0), np.ones(16))
 
 
-class TestSampleBatchData:
+class TestSampledArrays:
     def test_sampled_data_is_read_only(self):
-        batch = sample_gaussian(CovarianceSpec.identity(3), 100, seed=1, stream_id=0)
-        assert not batch.data.flags.writeable
+        x = sample_gaussian(CovarianceSpec.identity(3), 100, seed=1, stream_id=0)
+        z, g = sample_split_gaussian(split_covariance(CovarianceSpec.diagonal([1.0, 4.0])),
+                                     100, seed=1, stream_id=0)
+        for data in (x, z, g):
+            assert not data.flags.writeable
 
 
 class TestSampleSplitGaussian:
     def test_identity_residual_is_zero(self):
         split = split_covariance(CovarianceSpec.identity(5))
         _, g = sample_split_gaussian(split, 2000, seed=1, stream_id=0)
-        assert np.max(np.abs(g.data)) == 0.0
+        assert np.max(np.abs(g)) == 0.0
 
     def test_combined_covariance(self):
         split = split_covariance(CovarianceSpec.diagonal([1.0, 4.0]))
         z, g = sample_split_gaussian(split, 10**5, seed=2, stream_id=0)
-        x = np.sqrt(split.a) * z.data + g.data
+        x = np.sqrt(split.a) * z + g
         emp = x.T @ x / x.shape[0]
         assert np.max(np.abs(emp - np.diag([1.0, 4.0]))) < 0.1
 
@@ -194,15 +197,15 @@ class TestSampleSplitGaussian:
         cov = wishart_spec(4, 4, seed=7)
         split = split_covariance(cov)
         z, g = sample_split_gaussian(split, 10**5, seed=3, stream_id=0)
-        x = np.sqrt(split.a) * z.data + g.data
+        x = np.sqrt(split.a) * z + g
         direct = sample_gaussian(cov, 10**5, seed=4, stream_id=0)
         for j in range(4):
-            ks = stats.ks_2samp(x[:, j], direct.data[:, j]).statistic
+            ks = stats.ks_2samp(x[:, j], direct[:, j]).statistic
             assert ks < 0.02
 
     def test_z_and_g_independent_streams(self):
         split = split_covariance(wishart_spec(3, 3, seed=8))
         z, g = sample_split_gaussian(split, 2000, seed=5, stream_id=0)
-        assert not np.array_equal(z.data, g.data)
-        corr = np.corrcoef(z.data[:, 0], g.data[:, 0])[0, 1]
+        assert not np.array_equal(z, g)
+        corr = np.corrcoef(z[:, 0], g[:, 0])[0, 1]
         assert abs(corr) < 0.1

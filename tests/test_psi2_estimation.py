@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 
 from subgauss import psi2_estimation
 from subgauss.errors import GridTooWide, InsufficientSamples, ValidationError
-from subgauss.gaussian_core import CovarianceSpec, SampleBatch, sample_gaussian, substream
+from subgauss.gaussian_core import CovarianceSpec, sample_gaussian, substream
 from subgauss.psi2_estimation import (
     _compress,
     _draw_support,
@@ -18,7 +17,6 @@ from subgauss.psi2_estimation import (
     direction_set,
     mgf_sigma,
     psi2_scalar,
-    psi2_vector,
     scan_directions,
 )
 
@@ -28,12 +26,6 @@ RADEMACHER_PSI2 = 1.0 / math.sqrt(math.log(2.0))
 
 def rademacher(count, seed=0):
     return np.where(substream(seed, "rademacher").random(count) < 0.5, -1.0, 1.0)
-
-
-def make_batch(data, seed=0, stream_id=0):
-    data = np.asarray(data, dtype=float)
-    return SampleBatch(dim=data.shape[1], count=data.shape[0], data=data,
-                       seed=seed, stream_id=stream_id)
 
 
 class TestPsi2Scalar:
@@ -57,6 +49,15 @@ class TestPsi2Scalar:
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamples):
             psi2_scalar(np.ones(999))
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_sample_rejected(self, bad):
+        x = rademacher(2000)
+        x[7] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            psi2_scalar(x)
+        with pytest.raises(ValidationError, match="non-finite"):
+            psi2_scalar(np.full(2000, bad))
 
     def test_sample_count(self):
         est = psi2_scalar(rademacher(2000))
@@ -239,6 +240,15 @@ class TestMgfSigma:
         with pytest.raises(ValidationError):
             mgf_sigma(rademacher(2000), [0.0])
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_sample_rejected(self, bad):
+        x = rademacher(2000)
+        x[7] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            mgf_sigma(x, [0.5, 1.0])
+        with pytest.raises(ValidationError, match="non-finite"):
+            mgf_sigma(np.full(2000, bad), [0.5, 1.0])
+
 
 class TestDomination:
     """Orlicz and MGF-fit estimates agree up to a universal factor."""
@@ -257,68 +267,68 @@ class TestDomination:
 
 
 class TestPsi2Vector:
+    """The vector norm: the scalar norm's maximum over the scanned directions."""
+
     def test_rademacher_coordinates_n16(self):
         y = np.where(substream(42, "vec-rad").random((10**5, 16)) < 0.5, -1.0, 1.0)
-        est = psi2_vector(make_batch(y, seed=9), 16)
+        est = scan_directions(y, 16, 9, 0)
         assert 1.0 <= est.value <= 1.6
         assert est.n_directions == 16 + 1 + 16
 
     def test_rank_one_sgn_attains_sqrt_n(self):
         cov = CovarianceSpec.rank_one_ones(16)
-        x = sample_gaussian(cov, 10**5, seed=7, stream_id=0)
-        y = dataclasses.replace(x, data=np.sign(x.data))
-        est = psi2_vector(y, 16, center=False)
+        y = np.sign(sample_gaussian(cov, 10**5, seed=7, stream_id=0))
+        est = scan_directions(y, 16, 7, 0)
         assert est.value == pytest.approx(math.sqrt(16.0 / math.log(2.0)), rel=1e-6)
         ones = np.ones(16) / 4.0
         assert abs(abs(est.argmax_direction @ ones) - 1.0) <= 1e-9
 
     def test_zero_batch(self):
-        est = psi2_vector(make_batch(np.zeros((10**4, 4))), 6)
+        est = scan_directions(np.zeros((10**4, 4)), 6, 0, 0)
         assert (est.value, est.ci_low, est.ci_high) == (0.0, 0.0, 0.0)
         assert est.n_directions == 4 + 1 + 6
         np.testing.assert_array_equal(est.argmax_direction, np.eye(4)[0])
 
-    def test_insufficient_draws(self):
-        with pytest.raises(InsufficientSamples):
-            psi2_vector(make_batch(np.ones((5000, 4))), 4)
-
-    def test_budget_below_dimension_rejected(self):
-        with pytest.raises(ValidationError):
-            psi2_vector(make_batch(np.zeros((10**4, 8))), 4)
-
     def test_monotone_in_direction_budget(self):
         y = np.where(substream(8, "vec-mono").random((10**4, 8)) < 0.5, -1.0, 1.0)
-        batch = make_batch(y, seed=11)
-        values = [psi2_vector(batch, budget).value for budget in (8, 16, 32)]
+        values = [scan_directions(y, budget, 11, 0).value for budget in (8, 16, 32)]
         assert values[0] <= values[1] <= values[2]
-
-    def test_centering_shift_invariance(self):
-        y = np.where(substream(9, "vec-center").random((2 * 10**4, 8)) < 0.5, -1.0, 1.0)
-        base = psi2_vector(make_batch(y, seed=4), 8)
-        shifted = psi2_vector(make_batch(y + 3.0, seed=4), 8)
-        ci_width = base.ci_high - base.ci_low
-        assert abs(shifted.value - base.value) <= max(ci_width, 1e-9)
 
     def test_thread_count_invariance(self):
         # several direction blocks, so the threads really share the scan
-        y = substream(14, "vec-threads").standard_normal((2 * 10**4, 8))
-        batch = make_batch(np.clip(y, -1.5, 1.5), seed=5)
-        one = psi2_vector(batch, 48, threads=1)
-        three = psi2_vector(batch, 48, threads=3)
+        y = np.clip(substream(14, "vec-threads").standard_normal((2 * 10**4, 8)), -1.5, 1.5)
+        one = scan_directions(y, 48, 5, 0, threads=1)
+        three = scan_directions(y, 48, 5, 0, threads=3)
         assert (one.value, one.ci_low, one.ci_high) == (three.value, three.ci_low, three.ci_high)
         np.testing.assert_array_equal(one.argmax_direction, three.argmax_direction)
 
     def test_deterministic_given_seed(self):
         y = np.where(substream(13, "vec-det").random((10**4, 4)) < 0.5, -1.0, 1.0)
-        a = psi2_vector(make_batch(y, seed=3), 4)
-        b = psi2_vector(make_batch(y, seed=3), 4)
+        a = scan_directions(y, 4, 3, 0)
+        b = scan_directions(y, 4, 3, 0)
         assert (a.value, a.ci_low, a.ci_high) == (b.value, b.ci_low, b.ci_high)
         np.testing.assert_array_equal(a.argmax_direction, b.argmax_direction)
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_sample_rejected(self, bad):
+        y = np.ones((2000, 3))
+        y[11, 1] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            scan_directions(y, 2, 0, 0)
+
+    @pytest.mark.parametrize("shape", ((2000,), (0, 3), (2000, 0), (10, 3, 2)))
+    def test_not_a_two_dimensional_sample_rejected(self, shape):
+        with pytest.raises(ValidationError, match="2-D"):
+            scan_directions(np.ones(shape), 2, 0, 0)
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValidationError, match="n_random"):
+            scan_directions(np.ones((2000, 3)), -1, 0, 0)
 
 
 class TestSharedDraw:
     def scan(self, y, **kwargs):
-        return scan_directions(y, 6, 3, 0, (1, 2), **kwargs)
+        return scan_directions(y, 6, 3, 0, **kwargs)
 
     def data(self):
         return np.clip(substream(37, "shared").standard_normal((20_000, 4)), -1.5, 1.5)
@@ -370,12 +380,9 @@ class TestTriangleCombine:
         n = 8
         w = substream(21, "tri-W").standard_normal((n, n))
         x = sample_gaussian(CovarianceSpec.identity(n), 5 * 10**4, seed=6, stream_id=0)
-        y = np.sign(x.data @ w.T)
-        b1 = psi2_vector(make_batch(y[:, : n // 2], seed=6, stream_id=1),
-                         n // 2, center=False)
-        b2 = psi2_vector(make_batch(y[:, n // 2 :], seed=6, stream_id=2),
-                         n // 2, center=False)
-        full = psi2_vector(make_batch(y, seed=6, stream_id=3), n,
-                           center=False)
+        y = np.sign(x @ w.T)
+        b1 = scan_directions(y[:, : n // 2], n // 2, 6, 1)
+        b2 = scan_directions(y[:, n // 2 :], n // 2, 6, 2)
+        full = scan_directions(y, n, 6, 3)
         slack = (b1.ci_high - b1.value) + (b2.ci_high - b2.value) + (full.value - full.ci_low)
         assert full.value <= b1.value + b2.value + slack + 1e-9
