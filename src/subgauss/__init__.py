@@ -30,7 +30,6 @@ from .nonlinearity import (
 )
 from .psi2_estimation import (
     Psi2Estimate,
-    mgf_sigma,
     psi2_scalar,
 )
 
@@ -55,7 +54,6 @@ __all__ = [
     "condition_number",
     "get_map",
     "lipschitz_certificate",
-    "mgf_sigma",
     "psi2_scalar",
     "sample_gaussian",
     "sample_split_gaussian",

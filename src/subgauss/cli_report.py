@@ -41,7 +41,7 @@ from .experiments import (
     run_theorem_experiment,
     run_wishart_conditioning,
 )
-from .gaussian_core import CovarianceSpec, split_covariance, substream
+from .gaussian_core import THREADS, CovarianceSpec, split_covariance, substream
 from .nonlinearity import get_map, smoothed_mean_quadrature
 from .psi2_estimation import psi2_scalar
 
@@ -184,7 +184,7 @@ def build_experiment_configs(run: RunConfig) -> dict:
     return out
 
 
-def run_experiments(run: RunConfig, *, threads: int = 1) -> list[ExperimentReport]:
+def run_experiments(run: RunConfig, *, threads: int = THREADS) -> list[ExperimentReport]:
     reports = []
     for name, cfg in run.configs.items():
         if name == "theorem":
@@ -408,7 +408,7 @@ def run_cli(argv=None) -> int:
 
     try:
         run = _assemble_run_config(args)
-        threads = _env_int("SUBGAUSS_THREADS", 1) if args.threads is None else args.threads
+        threads = _env_int("SUBGAUSS_THREADS", THREADS) if args.threads is None else args.threads
         if threads < 1:
             raise ValidationError(f"threads must be >= 1, got {threads}")
     except (SchemaError, ValidationError) as exc:

@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .errors import DimensionTooSmall, DomainError, ValidationError
 from .gaussian_core import (
+    THREADS,
     CovarianceSpec,
     condition_number,
     sample_gaussian,
@@ -252,7 +253,7 @@ def _centered_image(bmap, cov: CovarianceSpec, count: int, seed: int, stream_id:
     return y[half:] - y[:half].mean(axis=0)
 
 
-def run_theorem_experiment(cfg: TheoremConfig, *, threads: int = 1) -> ExperimentReport:
+def run_theorem_experiment(cfg: TheoremConfig, *, threads: int = THREADS) -> ExperimentReport:
     """Per (n, kappa) cell: sample X ~ N(0, Sigma), form Y = phi(X), center by
     the mean of an independent half, and scan the direction set for the max
     Orlicz estimate and the max fitted MGF sigma.
@@ -289,7 +290,7 @@ def run_theorem_experiment(cfg: TheoremConfig, *, threads: int = 1) -> Experimen
                             report_metadata("theorem", cfg.seed, echo))
 
 
-def run_corollary_experiment(cfg: CorollaryConfig, *, threads: int = 1) -> ExperimentReport:
+def run_corollary_experiment(cfg: CorollaryConfig, *, threads: int = THREADS) -> ExperimentReport:
     """Sign-quantized square maps: for each W draw, partition rows, estimate the
     conditional norms of both blocks (x resampled, W fixed), combine them by the
     triangle inequality, and compare against the direct full-vector estimate.
@@ -392,7 +393,7 @@ def run_wishart_conditioning(n_list, trials: int, seed: int, *,
 
 
 def run_counterexample(n_list, samples: int, seed: int, *,
-                       threads: int = 1) -> ExperimentReport:
+                       threads: int = THREADS) -> ExperimentReport:
     """Rank-one all-ones covariance: the norm of sgn(X) grows like sqrt(n).
 
     Estimates include the all-ones direction (where the projection is exactly

@@ -1,16 +1,18 @@
 """Covariance specs, spectral splitting, and reproducible multivariate Gaussian sampling.
 
-Sampling uses the spectral factor Q * sqrt(Lambda) so that singular covariances
-(rank-one all-ones, split residuals) are handled uniformly where Cholesky would
-fail.  A factor with one nonzero per row (identity, diagonal, rank-one) is
-applied as a column gather, bit-identical to the dense product.  Draws are
-generated in fixed-size chunks, each from its own counter-based substream, so
-results are bit-identical for any worker count.
+Sampling uses the spectral factor Q * sqrt(Lambda) on the range, one normal
+per nonzero eigenvalue, so singular covariances (rank-one all-ones, split
+residuals) are handled uniformly where Cholesky would fail.  A factor with one
+nonzero per row (identity, diagonal, rank-one) is applied as a column gather,
+bit-identical to the dense product.  Draws come in fixed-size chunks, each from
+its own counter-based substream, so results are bit-identical for any worker
+count.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,6 +28,9 @@ PSD_TOL = 1e-10          # eigenvalues below -PSD_TOL are rejected, above are cl
 SINGULARITY_REL = 1e-12  # lambda_min <= SINGULARITY_REL * lambda_max counts as singular
 
 CHUNK_SIZE = 4096        # fixed chunk size: determinism must not depend on thread count
+# Default worker count: the CPUs this process may run on.
+THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
 
 _LANE_DIRECT = 0
 _LANE_SPLIT_Z = 1
@@ -163,11 +168,10 @@ class CovarianceSpec:
 
     @cached_property
     def sampling_factor(self) -> np.ndarray:
-        # Eigenvalues at or below the singularity threshold count as exact
-        # zeros, so singular covariances produce exactly degenerate samples.
-        w = self.eigenvalues.copy()
-        w[w <= SINGULARITY_REL * self.lambda_max] = 0.0
-        return _frozen(self.eigenvectors * np.sqrt(w))
+        # n x rank: eigenvalues at or below the singularity threshold count as
+        # exact zeros, so singular covariances produce exactly degenerate samples.
+        keep = self.eigenvalues > SINGULARITY_REL * self.lambda_max
+        return _frozen(self.eigenvectors[:, keep] * np.sqrt(self.eigenvalues[keep]))
 
     @cached_property
     def factor_product(self):
@@ -177,7 +181,7 @@ class CovarianceSpec:
         scale: every other term of the dense product is an exact zero.  That
         covers identity and diagonal covariances, whose factor is a permutation
         times a diagonal (tied eigenvalues are reordered), and the rank-one
-        all-ones covariance, whose factor has a single nonzero column.
+        all-ones covariance, whose factor is a single column.
         """
         f = self.sampling_factor
         nonzero = f != 0.0
@@ -223,22 +227,24 @@ def split_covariance(cov: CovarianceSpec) -> CovarianceSplit:
     return CovarianceSplit(a=a, residual=residual)
 
 
-def _fill_chunks(out: np.ndarray, seed, stream_id, lane, product, threads: int) -> None:
-    """Standard normal chunks z, stored as product(z) unless product is None."""
+def _fill_chunks(out: np.ndarray, seed, stream_id, lane, cov, threads: int) -> None:
+    """Standard normal chunks z, one column per column of cov's sampling factor,
+    stored as cov.factor_product(z); with cov None, n columns stored as drawn."""
     count, n = out.shape
+    width = n if cov is None else cov.sampling_factor.shape[1]
 
     def work(chunk_index_lo):
         chunk_index, lo = chunk_index_lo
         hi = min(lo + CHUNK_SIZE, count)
         rng = substream(seed, stream_id, lane, chunk_index)
-        z = rng.standard_normal((hi - lo, n))
-        out[lo:hi] = z if product is None else product(z)
+        z = rng.standard_normal((hi - lo, width))
+        out[lo:hi] = z if cov is None else cov.factor_product(z)
 
     thread_map(work, list(enumerate(range(0, count, CHUNK_SIZE))), threads)
 
 
 def sample_gaussian(cov: CovarianceSpec, count: int, seed: int, stream_id: int,
-                    *, threads: int = 1) -> np.ndarray:
+                    *, threads: int = THREADS) -> np.ndarray:
     """Draw count i.i.d. N(0, Sigma) rows via the spectral factor, as a
     read-only count x n array.
 
@@ -248,12 +254,12 @@ def sample_gaussian(cov: CovarianceSpec, count: int, seed: int, stream_id: int,
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
     data = np.empty((count, cov.dim))
-    _fill_chunks(data, seed, stream_id, _LANE_DIRECT, cov.factor_product, threads)
+    _fill_chunks(data, seed, stream_id, _LANE_DIRECT, cov, threads)
     return _read_only(data)
 
 
 def sample_split_gaussian(split: CovarianceSplit, count: int, seed: int, stream_id: int,
-                          *, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+                          *, threads: int = THREADS) -> tuple[np.ndarray, np.ndarray]:
     """Draw the isotropic part Z ~ N(0, I) and residual part G ~ N(0, Sigma_G),
     as read-only count x n arrays.
 
@@ -266,5 +272,5 @@ def sample_split_gaussian(split: CovarianceSplit, count: int, seed: int, stream_
     z = np.empty((count, n))
     _fill_chunks(z, seed, stream_id, _LANE_SPLIT_Z, None, threads)
     g = np.empty((count, n))
-    _fill_chunks(g, seed, stream_id, _LANE_SPLIT_G, split.residual.factor_product, threads)
+    _fill_chunks(g, seed, stream_id, _LANE_SPLIT_G, split.residual, threads)
     return _read_only(z), _read_only(g)

@@ -8,14 +8,13 @@ with a percentile interval from the same roots.  The roots come from one
 vectorized, safeguarded Newton solve on the log criterion in u = 1/t^2; each
 returned t is on the conservative side, where the criterion is at most 2.
 
-A sample is compressed once, on its values: exact value counts when it has
-few distinct values (sign data is the common case here), otherwise uniform
-bins over the value range with each bin's mean of x and mean of x^2.  It is
-then resampled once, as one matrix of multinomial counts.  The Orlicz
+Every estimate compresses its sample once, at one resolution: exact value
+counts when it has at most BINS distinct values (sign data is the common case
+here), otherwise BINS uniform bins with each bin's mean of x and of x^2.  It
+is then resampled once, as one matrix of multinomial counts.  The Orlicz
 criterion reads the mean squares and the MGF band the representatives, both
-under the same weights.  The binning error on either is quadratic in the bin
-width and orders of magnitude below the bootstrap noise at the default
-resolutions.
+under the same weights.  The binning error is quadratic in the bin width and
+below the bootstrap noise: 4096 bins gave the coverage of 256.
 
 Vector norm: maximum of the scalar norm over a declared direction set
 (canonical basis + normalized all-ones + seeded random unit vectors).  The
@@ -25,9 +24,9 @@ scan on a rows x n array: it projects the directions in blocks of bounded
 memory, compresses and resamples each projection once for both estimates,
 solves each block's roots together and spreads the blocks over worker threads.
 
-Every norm estimate is one `Psi2Estimate`.  A scan's also holds its direction
-count, the argmax direction and, with a lambda grid, the largest MGF variance
-proxy sigma that `mgf_sigma` fits over the set.
+Every norm estimate is one `Psi2Estimate`.  With a lambda grid it holds the
+MGF variance proxy sigma `mgf_sigma` fits (a scan's is the largest over its
+set); a scan's also holds its direction count and argmax direction.
 """
 
 from __future__ import annotations
@@ -39,11 +38,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import GridTooWide, InsufficientSamples, ValidationError
-from .gaussian_core import substream, thread_map
+from .gaussian_core import THREADS, substream, thread_map
 
 RESAMPLES = 200          # bootstrap resamples for medians and 95% percentile CIs
-SCALAR_BINS = 4096       # support compression for the standalone scalar estimator
-SCAN_BINS = 256          # support compression inside direction scans
+BINS = 256               # support compression of every estimate
 ZERO_TOL = 1e-12         # |x| at or below this counts as almost-surely zero
 MGF_EXP_GUARD = 30.0     # reject grids with lambda * max|x| above this
 NEWTON_TOL = 1e-14       # relative Newton step that ends a root solve; also the
@@ -54,7 +52,6 @@ SCAN_BLOCK_BYTES = 2**26  # working-set budget of one block of directions in a s
 _LOG2 = math.log(2.0)
 
 _TAG_SCALAR = 101
-_TAG_MGF = 102
 _TAG_SCAN_DIRS = 201     # substream of a scan's direction set
 _TAG_SCAN_BOOT = 202     # substreams of a scan's per-direction resamples
 
@@ -63,8 +60,8 @@ _TAG_SCAN_BOOT = 202     # substreams of a scan's per-direction resamples
 class Psi2Estimate:
     """Orlicz norm estimate with its bootstrap 95% interval, from n_samples rows.
 
-    A direction scan also gives its direction count, the direction of the
-    largest estimate and, when fitted on a lambda grid, the largest MGF sigma.
+    With a lambda grid it gives the fitted MGF sigma, a scan's largest; a scan
+    also gives its direction count and the direction of the largest estimate.
     """
 
     value: float
@@ -81,27 +78,27 @@ class Psi2Estimate:
                 f"interval [{self.ci_low}, {self.ci_high}] does not bracket {self.value}")
 
 
-def _compress(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _compress(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(representatives, mean squares, counts) of a sample.
 
-    A sample with at most `bins` distinct values gives those values, their
-    exact squares and their counts; a wider one gives `bins` uniform bins over
+    A sample with at most BINS distinct values gives those values, their
+    exact squares and their counts; a wider one gives BINS uniform bins over
     its range, each bin's mean of x and mean of x^2, with empty bins dropped.
-    When a prefix already holds more than `bins` distinct values the sample is
+    When a prefix already holds more than BINS distinct values the sample is
     binned without sorting it: the range then comes from its min and max,
     which are the ends of the full sort, so the result is the same.
     """
-    if len(np.unique(values[:2 * bins + 2])) > bins:
+    if len(np.unique(values[:2 * BINS + 2])) > BINS:
         lo, hi = float(values.min()), float(values.max())
     else:
         uniq, counts = np.unique(values, return_counts=True)
-        if len(uniq) <= bins:
+        if len(uniq) <= BINS:
             return uniq, uniq * uniq, counts
         lo, hi = float(uniq[0]), float(uniq[-1])
-    idx = np.minimum(((values - lo) * (bins / (hi - lo))).astype(np.int64), bins - 1)
-    cnt = np.bincount(idx, minlength=bins)
-    sums = np.bincount(idx, weights=values, minlength=bins)
-    squares = np.bincount(idx, weights=values * values, minlength=bins)
+    idx = np.minimum(((values - lo) * (BINS / (hi - lo))).astype(np.int64), BINS - 1)
+    cnt = np.bincount(idx, minlength=BINS)
+    sums = np.bincount(idx, weights=values, minlength=BINS)
+    squares = np.bincount(idx, weights=values * values, minlength=BINS)
     mask = cnt > 0
     return sums[mask] / cnt[mask], squares[mask] / cnt[mask], cnt[mask]
 
@@ -165,9 +162,9 @@ def _orlicz_roots(reps_sq: np.ndarray, weights: np.ndarray, n: int) -> np.ndarra
             margin *= 2.0
 
 
-def _draw_support(x: np.ndarray, rng: np.random.Generator, bins: int):
+def _draw_support(x: np.ndarray, rng: np.random.Generator):
     """(representatives, mean squares, weights) of sample x: its support
-    compressed to at most `bins` points, and RESAMPLES rows of multinomial
+    compressed to at most BINS points, and RESAMPLES rows of multinomial
     counts over it drawn with rng, each row summing to len(x).  An
     almost-surely-zero sample gives None and draws nothing; a sample with a
     NaN or infinite value raises ValidationError."""
@@ -176,7 +173,7 @@ def _draw_support(x: np.ndarray, rng: np.random.Generator, bins: int):
         raise ValidationError(f"sample has a non-finite value (max |x| = {max_abs})")
     if max_abs <= ZERO_TOL:
         return None
-    reps, squares, counts = _compress(x, bins)
+    reps, squares, counts = _compress(x)
     return reps, squares, _resample_counts(counts, len(x), rng, RESAMPLES)
 
 
@@ -202,49 +199,43 @@ def _orlicz_estimate(supports, n: int) -> np.ndarray:
     return out
 
 
-def psi2_scalar(samples, *, seed: int = 0) -> Psi2Estimate:
+def psi2_scalar(samples, *, seed: int = 0, lambda_grid=None) -> Psi2Estimate:
     """Orlicz subgaussian norm of a scalar sample with a bootstrap 95% CI.
 
     The seed fixes the bootstrap resamples, making results reproducible and
     scale-equivariant (scaling the sample by c > 0 scales the estimate by c).
+    With a lambda grid, mgf_sigma_max is the MGF sigma fitted on the draw of
+    the Orlicz estimate, as a scan does for each direction; else it is None.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if len(x) < 1000:
         raise InsufficientSamples(f"need at least 1000 samples, got {len(x)}")
-    support = _draw_support(x, substream(seed, _TAG_SCALAR), SCALAR_BINS)
+    support = _draw_support(x, substream(seed, _TAG_SCALAR))
     value, lo, hi = _orlicz_estimate([support], len(x))[0]
+    sigma = None if lambda_grid is None else mgf_sigma(x, lambda_grid, support)
     return Psi2Estimate(value=float(value), ci_low=float(lo), ci_high=float(hi),
-                        n_samples=len(x))
+                        n_samples=len(x), mgf_sigma_max=sigma)
 
 
-def mgf_sigma(samples, lambda_grid, *, seed: int = 0, support=None) -> float:
+def mgf_sigma(x: np.ndarray, lambda_grid, support) -> float:
     """Smallest sigma with the bootstrap upper band of the log-empirical-MGF
     below sigma^2 lambda^2 / 2 on the grid, symmetrized as {-|lambda|, |lambda|}.
 
-    Samples are centered internally.  The band is the 97.5% percentile of the
-    resampled log-MGF, so sigma already carries the statistical slack.  It is
-    computed on `support`, the sample's draw from `_draw_support` (a scan
-    passes the draw its Orlicz estimate uses); without one, the sample is
-    compressed to SCALAR_BINS points and resampled from `seed`.  An
+    x is centered internally.  The band is the 97.5% percentile of the
+    resampled log-MGF on `support`, the draw `_draw_support` made of x for its
+    Orlicz estimate, so sigma already carries the statistical slack.  An
     almost-surely-constant sample gives 0.
     """
-    x = np.asarray(samples, dtype=float).ravel()
-    if len(x) == 0:
-        raise InsufficientSamples("empty sample")
-    mean = x.mean()
     lam = np.unique(np.abs(np.asarray(lambda_grid, dtype=float)))
     lam = lam[lam > 0]
     if len(lam) == 0:
         raise ValidationError("lambda grid must contain nonzero points")
     grid = np.concatenate([-lam[::-1], lam])
+    mean = x.mean()
     max_abs = float(max(x.max() - mean, mean - x.min()))  # max |x - mean|
-    if not math.isfinite(max_abs):  # a NaN or infinite value
-        raise ValidationError(f"sample has a non-finite value (max |x - mean| = {max_abs})")
     if lam[-1] * max_abs > MGF_EXP_GUARD:
         raise GridTooWide(
             f"lambda*max|X| = {lam[-1] * max_abs:.3g} exceeds {MGF_EXP_GUARD}")
-    if support is None and max_abs > ZERO_TOL:
-        support = _draw_support(x, substream(seed, _TAG_MGF), SCALAR_BINS)
     if support is None or max_abs <= ZERO_TOL:
         return 0.0
 
@@ -269,7 +260,7 @@ def direction_set(n: int, n_random: int, rng: np.random.Generator) -> np.ndarray
 
 
 def scan_directions(y, n_random: int, seed: int, stream_id: int,
-                    *, lambda_grid=None, threads: int = 1) -> Psi2Estimate:
+                    *, lambda_grid=None, threads: int = THREADS) -> Psi2Estimate:
     """Max bootstrap Orlicz estimate of the projections y @ v over the canonical
     + all-ones + n_random random direction set, as a Psi2Estimate holding its
     interval, the rows of y, the direction count and the argmax direction; with
@@ -299,20 +290,22 @@ def scan_directions(y, n_random: int, seed: int, stream_id: int,
     dirs = direction_set(n, n_random, substream(seed, stream_id, _TAG_SCAN_DIRS))
     # One direction holds its projection and about six resamples x bins arrays
     # in the root solve.
-    size = max(1, SCAN_BLOCK_BYTES // (8 * (rows + 6 * RESAMPLES * SCAN_BINS)))
+    size = max(1, SCAN_BLOCK_BYTES // (8 * (rows + 6 * RESAMPLES * BINS)))
     blocks = [range(lo, min(lo + size, len(dirs))) for lo in range(0, len(dirs), size)]
     # Projecting onto the transpose gives each direction a contiguous row, and
     # runs the narrow block products about twice as fast as y @ block.T.
     y_t = np.ascontiguousarray(y.T)
 
     def work(block):
-        proj = dirs[block.start:block.stop] @ y_t
-        supports = [_draw_support(x, substream(seed, stream_id, _TAG_SCAN_BOOT, d), SCAN_BINS)
+        # _draw_support rejects what NaN or inf in y project to (errstate is per thread)
+        with np.errstate(invalid="ignore", over="ignore"):
+            proj = dirs[block.start:block.stop] @ y_t
+        supports = [_draw_support(x, substream(seed, stream_id, _TAG_SCAN_BOOT, d))
                     for x, d in zip(proj, block)]
         estimates = _orlicz_estimate(supports, rows)
         if lambda_grid is None:
             return estimates, []
-        return estimates, [mgf_sigma(x, lambda_grid, support=support)
+        return estimates, [mgf_sigma(x, lambda_grid, support)
                            for x, support in zip(proj, supports)]
 
     results = thread_map(work, blocks, threads)

@@ -27,7 +27,7 @@ from subgauss.gaussian_core import (
     sample_gaussian,
     substream,
 )
-from subgauss.psi2_estimation import direction_set, mgf_sigma
+from subgauss.psi2_estimation import direction_set, psi2_scalar
 
 
 class TestSigmaSqBound:
@@ -201,7 +201,7 @@ class TestConditionalHoeffding:
         y = y - y.mean(axis=0)
         dirs = direction_set(n, 50, substream(4, "hoeffding"))[n + 1 :]  # 50 random
         for d, v in enumerate(dirs):
-            sigma = mgf_sigma(y @ v, [0.25, 0.5, 1.0], seed=d)
+            sigma = psi2_scalar(y @ v, seed=d, lambda_grid=[0.25, 0.5, 1.0]).mgf_sigma_max
             assert sigma <= 2.0
 
 

@@ -160,8 +160,12 @@ class TestFactorProduct:
     ])
     def test_matches_dense_product(self, make, n):
         cov = make(n)
-        z = substream(14, "factor-product", n).standard_normal((CHUNK_SIZE, n))
+        width = cov.sampling_factor.shape[1]
+        z = substream(14, "factor-product", n).standard_normal((CHUNK_SIZE, width))
         np.testing.assert_array_equal(cov.factor_product(z), z @ cov.sampling_factor.T)
+
+    def test_rank_one_factor_is_one_column(self):
+        assert CovarianceSpec.rank_one_ones(64).sampling_factor.shape == (64, 1)
 
     def test_identity_factor_is_a_permutation(self):
         # tied eigenvalues are reordered, so the factor is not eye(n)

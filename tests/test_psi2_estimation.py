@@ -9,13 +9,13 @@ from subgauss import psi2_estimation
 from subgauss.errors import GridTooWide, InsufficientSamples, ValidationError
 from subgauss.gaussian_core import CovarianceSpec, sample_gaussian, substream
 from subgauss.psi2_estimation import (
+    BINS,
     _compress,
     _draw_support,
     _orlicz_estimate,
     _orlicz_roots,
     _resample_counts,
     direction_set,
-    mgf_sigma,
     psi2_scalar,
     scan_directions,
 )
@@ -26,6 +26,11 @@ RADEMACHER_PSI2 = 1.0 / math.sqrt(math.log(2.0))
 
 def rademacher(count, seed=0):
     return np.where(substream(seed, "rademacher").random(count) < 0.5, -1.0, 1.0)
+
+
+def fitted_sigma(x, lambda_grid):
+    """The MGF sigma psi2_scalar fits on the draw of its Orlicz estimate."""
+    return psi2_scalar(x, lambda_grid=lambda_grid).mgf_sigma_max
 
 
 class TestPsi2Scalar:
@@ -106,7 +111,7 @@ def bootstrap_support(kind, count=20_000, resamples=50):
         "exact-three-point": lambda: rng.choice([-1.0, 0.5, 2.0], count),
         "exact-sparse": lambda: np.where(rng.random(count) < 1e-3, 40.0, 0.01),
     }[kind]()
-    _, squares, counts = _compress(x, 256)  # the support a scan solves
+    _, squares, counts = _compress(x)  # the support every estimate solves
     weights = _resample_counts(counts, count, substream(32, kind), resamples).T
     return squares, weights, count
 
@@ -115,60 +120,57 @@ SUPPORTS = ("binned-gaussian", "binned-heavy", "binned-clipped",
             "exact-three-point", "exact-sparse")
 
 
-def reference_compress(values, bins):
+def reference_compress(values):
     """The compression with a full sort of every sample: the reference for the
     prefix shortcut, which must give the same arrays."""
     uniq, counts = np.unique(values, return_counts=True)
-    if len(uniq) <= bins:
+    if len(uniq) <= BINS:
         return uniq, uniq * uniq, counts
     lo, hi = float(uniq[0]), float(uniq[-1])
-    idx = np.minimum(((values - lo) * (bins / (hi - lo))).astype(np.int64), bins - 1)
-    cnt = np.bincount(idx, minlength=bins)
-    sums = np.bincount(idx, weights=values, minlength=bins)
-    squares = np.bincount(idx, weights=values * values, minlength=bins)
+    idx = np.minimum(((values - lo) * (BINS / (hi - lo))).astype(np.int64), BINS - 1)
+    cnt = np.bincount(idx, minlength=BINS)
+    sums = np.bincount(idx, weights=values, minlength=BINS)
+    squares = np.bincount(idx, weights=values * values, minlength=BINS)
     mask = cnt > 0
     return sums[mask] / cnt[mask], squares[mask] / cnt[mask], cnt[mask]
 
 
 class TestCompress:
-    BINS = 16
-
     def values(self, distinct, count=5000, seed=0):
         rng = substream(35, "compress", distinct, seed)
         levels = rng.standard_normal(distinct)
         return levels[np.arange(count) % distinct][rng.permutation(count)]
 
     def assert_matches_reference(self, values):
-        for got, want in zip(_compress(values, self.BINS),
-                             reference_compress(values, self.BINS)):
+        for got, want in zip(_compress(values), reference_compress(values)):
             np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("distinct", (1, 2, 16, 17, 40))
+    @pytest.mark.parametrize("distinct", (1, 2, BINS, BINS + 1, 640))
     def test_matches_full_sort(self, distinct):
         values = self.values(distinct)
-        reps, squares, counts = _compress(values, self.BINS)
-        assert len(reps) <= self.BINS and counts.sum() == len(values)
+        reps, squares, counts = _compress(values)
+        assert len(reps) <= BINS and counts.sum() == len(values)
         self.assert_matches_reference(values)
 
     def test_exact_support_at_bins_distinct(self):
-        values = self.values(self.BINS)
-        reps, squares, counts = _compress(values, self.BINS)
+        values = self.values(BINS)
+        reps, squares, counts = _compress(values)
         np.testing.assert_array_equal(reps, np.unique(values))
         np.testing.assert_array_equal(squares, reps * reps)
 
     def test_new_values_after_the_prefix(self):
-        prefix = 2 * self.BINS + 2
-        # the prefix holds bins + 1 distinct values and the tail widens the range
-        head = self.values(self.BINS + 1, count=prefix)
+        prefix = 2 * BINS + 2
+        # the prefix holds BINS + 1 distinct values and the tail widens the range
+        head = self.values(BINS + 1, count=prefix)
         tail = np.concatenate([self.values(3, count=100), [-50.0, 50.0]])
         self.assert_matches_reference(np.concatenate([head, tail]))
-        # the prefix holds bins distinct values and the tail adds more
-        head = self.values(self.BINS, count=prefix)
+        # the prefix holds BINS distinct values and the tail adds more
+        head = self.values(BINS, count=prefix)
         self.assert_matches_reference(np.concatenate([head, self.values(5, count=100)]))
 
     def test_binned_squares_are_bin_means(self):
         values = substream(36, "compress").standard_normal(10_000)
-        reps, squares, counts = _compress(values, self.BINS)
+        reps, squares, counts = _compress(values)
         assert np.all(squares >= reps * reps)  # Jensen within each bin
         assert squares @ counts == pytest.approx(values @ values, rel=1e-12)
 
@@ -205,7 +207,7 @@ class TestOrliczRoots:
         rng = substream(33, "together")
         samples = [rng.standard_normal(5000), np.sign(rng.standard_normal(5000)),
                    np.zeros(5000), rng.uniform(-1.0, 1.0, 5000)]
-        supports = [_draw_support(x, substream(34, i), 256) for i, x in enumerate(samples)]
+        supports = [_draw_support(x, substream(34, i)) for i, x in enumerate(samples)]
         together = _orlicz_estimate(supports, 5000)
         for i, support in enumerate(supports):
             alone = _orlicz_estimate([support], 5000)
@@ -215,39 +217,39 @@ class TestOrliczRoots:
 class TestMgfSigma:
     def test_gaussian_sigma_near_one(self):
         x = substream(1, "mgf-gauss").standard_normal(10**6)
-        sigma = mgf_sigma(x, [0.25, 0.5, 1.0, 2.0])
+        sigma = fitted_sigma(x, [0.25, 0.5, 1.0, 2.0])
         assert abs(sigma - 1.0) <= 0.05
 
     def test_rademacher_dominated_by_gaussian(self):
         # cosh(lambda) <= exp(lambda^2/2) with a growing analytic margin
-        sigma = mgf_sigma(rademacher(10**6, seed=2), [0.5, 1.0, 2.0])
+        sigma = fitted_sigma(rademacher(10**6, seed=2), [0.5, 1.0, 2.0])
         assert sigma <= 1.0
 
     def test_zero_sample(self):
-        sigma = mgf_sigma(np.zeros(5000), [0.5, 1.0])
+        sigma = fitted_sigma(np.zeros(5000), [0.5, 1.0])
         assert sigma == 0.0
 
     def test_grid_symmetrized(self):
         x = substream(3, "mgf-sym").standard_normal(2000)
-        assert mgf_sigma(x, [1.0, 0.5]) == mgf_sigma(x, [-1.0, -0.5, 0.5, 1.0])
+        assert fitted_sigma(x, [1.0, 0.5]) == fitted_sigma(x, [-1.0, -0.5, 0.5, 1.0])
 
     def test_overflow_guard(self):
         x = np.concatenate([np.zeros(1999), [20.0]])
         with pytest.raises(GridTooWide):
-            mgf_sigma(x, [2.0])
+            fitted_sigma(x, [2.0])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError):
-            mgf_sigma(rademacher(2000), [0.0])
+            fitted_sigma(rademacher(2000), [0.0])
 
     @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
     def test_non_finite_sample_rejected(self, bad):
         x = rademacher(2000)
         x[7] = bad
         with pytest.raises(ValidationError, match="non-finite"):
-            mgf_sigma(x, [0.5, 1.0])
+            fitted_sigma(x, [0.5, 1.0])
         with pytest.raises(ValidationError, match="non-finite"):
-            mgf_sigma(np.full(2000, bad), [0.5, 1.0])
+            fitted_sigma(np.full(2000, bad), [0.5, 1.0])
 
 
 class TestDomination:
@@ -262,7 +264,8 @@ class TestDomination:
             "uniform": lambda: rng.uniform(-1.0, 1.0, 10**5),
             "clipped": lambda: np.clip(rng.standard_normal(10**5), -2.0, 2.0),
         }[dist]()
-        ratio = psi2_scalar(x).value / mgf_sigma(x, [0.5, 1.0, 2.0])
+        est = psi2_scalar(x, lambda_grid=[0.5, 1.0, 2.0])
+        ratio = est.value / est.mgf_sigma_max
         assert 0.25 <= ratio <= 4.0
 
 
@@ -333,7 +336,7 @@ class TestSharedDraw:
     def data(self):
         return np.clip(substream(37, "shared").standard_normal((20_000, 4)), -1.5, 1.5)
 
-    def test_one_compression_and_one_draw_per_direction(self, monkeypatch):
+    def count_calls(self, monkeypatch):
         calls = {"_compress": 0, "_resample_counts": 0}
         for name in calls:
             original = getattr(psi2_estimation, name)
@@ -343,9 +346,27 @@ class TestSharedDraw:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(psi2_estimation, name, counted)
+        return calls
+
+    def test_one_compression_and_one_draw_per_direction(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
         scan = self.scan(self.data(), lambda_grid=[0.25, 0.5, 1.0])
         assert scan.n_directions == 4 + 1 + 6
         assert calls == {"_compress": 11, "_resample_counts": 11}
+
+    def test_one_compression_and_one_draw_per_scalar_estimate(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        est = psi2_scalar(self.data()[:, 0], lambda_grid=[0.25, 0.5, 1.0])
+        assert est.mgf_sigma_max > 0.0
+        assert calls == {"_compress": 1, "_resample_counts": 1}
+
+    def test_scalar_estimate_independent_of_mgf_fit(self):
+        x = self.data()[:, 0]
+        plain = psi2_scalar(x, seed=4)
+        fitted = psi2_scalar(x, seed=4, lambda_grid=[0.25, 0.5, 1.0])
+        assert (plain.value, plain.ci_low, plain.ci_high) == (
+            fitted.value, fitted.ci_low, fitted.ci_high)
+        assert plain.mgf_sigma_max is None and fitted.mgf_sigma_max > 0.0
 
     def test_orlicz_estimate_independent_of_mgf_fit(self):
         y = self.data()
