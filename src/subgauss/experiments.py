@@ -177,7 +177,7 @@ class WishartConfig:
     seed: int
 
     def __post_init__(self):
-        _check_dims(self.dims, 2)  # partition_rows needs two rows
+        _check_dims(self.dims, 2)  # the half block needs a row
         if self.trials < 100:
             raise ValidationError(f"trials must be >= 100, got {self.trials}")
         if not math.isfinite(self.threshold):
@@ -247,8 +247,9 @@ def _ratio(values) -> float:
 def _centered_image(bmap, cov: CovarianceSpec, count: int, seed: int, stream_id: int,
                     threads: int) -> np.ndarray:
     """phi(X) for count draws of X ~ N(0, cov), the second half centered by the
-    mean of the first.  The draws and the uncentered image are freed on return."""
-    y = np.asarray(bmap(sample_gaussian(cov, count, seed, stream_id, threads=threads)))
+    mean of the first.  The sampler maps each chunk as it draws it, so the
+    draws are never held whole, and the uncentered image is freed on return."""
+    y = sample_gaussian(cov, count, seed, stream_id, threads=threads, phi=bmap)
     half = count // 2
     return y[half:] - y[:half].mean(axis=0)
 
@@ -309,9 +310,9 @@ def run_corollary_experiment(cfg: CorollaryConfig, *, threads: int = THREADS) ->
             w1, w2 = partition_rows(w_matrix)
             kappa1 = condition_number(CovarianceSpec.wishart_of(w1))
             kappa2 = condition_number(CovarianceSpec.wishart_of(w2))
-            x = sample_gaussian(CovarianceSpec.identity(n), cfg.samples_per_w,
-                                eff_seed, w_idx, threads=threads)
-            y = np.sign(x @ w_matrix.T)
+            y = sample_gaussian(CovarianceSpec.identity(n), cfg.samples_per_w,
+                                eff_seed, w_idx, threads=threads,
+                                phi=lambda x: np.sign(x @ w_matrix.T))
             tag = f"w{w_idx:02d}"
 
             # Symmetry of W x about the origin: coordinate means should sit
@@ -372,8 +373,8 @@ def run_wishart_conditioning(n_list, trials: int, seed: int, *,
     for n in n_list:
         kappas = np.empty(trials)
         for t in range(trials):
-            w_matrix = substream(seed, "wishart", n, t).standard_normal((n, n))
-            w1, _ = partition_rows(w_matrix)
+            # the first n // 2 rows of the n x n draw, drawn alone
+            w1 = substream(seed, "wishart", n, t).standard_normal((n // 2, n))
             kappas[t] = condition_number(CovarianceSpec.wishart_of(w1))
         median = float(np.median(kappas))
         rows.append(ReportRow("wishart", n, None, "kappa_median", median))
@@ -405,12 +406,10 @@ def run_counterexample(n_list, samples: int, seed: int, *,
     rows = []
     values = []
     for i, n in enumerate(n_list):
-        # Rebinding y frees the previous dimension's signs before the sign copy
-        # is made, and then the draws before the scan.
         y = sample_gaussian(CovarianceSpec.rank_one_ones(n), samples, eff_seed, i,
-                            threads=threads)
-        y = np.sign(y)
+                            threads=threads, phi=np.sign)
         est = scan_directions(y, n, eff_seed, i, threads=threads)
+        del y  # the next dimension samples before this name is rebound
         exact = math.sqrt(n / math.log(2.0))
         rows.append(ReportRow("counterexample", n, None, "orlicz",
                               est.value, est.ci_low, est.ci_high))

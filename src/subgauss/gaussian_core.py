@@ -6,7 +6,8 @@ residuals) are handled uniformly where Cholesky would fail.  A factor with one
 nonzero per row (identity, diagonal, rank-one) is applied as a column gather,
 bit-identical to the dense product.  Draws come in fixed-size chunks, each from
 its own counter-based substream, so results are bit-identical for any worker
-count.
+count.  A map given to the sampler is applied to each chunk as it is drawn, so
+a study that needs only the image phi(X) never holds X whole.
 """
 
 from __future__ import annotations
@@ -227,9 +228,11 @@ def split_covariance(cov: CovarianceSpec) -> CovarianceSplit:
     return CovarianceSplit(a=a, residual=residual)
 
 
-def _fill_chunks(out: np.ndarray, seed, stream_id, lane, cov, threads: int) -> None:
+def _fill_chunks(out: np.ndarray, seed, stream_id, lane, cov, threads: int,
+                 phi=None) -> None:
     """Standard normal chunks z, one column per column of cov's sampling factor,
-    stored as cov.factor_product(z); with cov None, n columns stored as drawn."""
+    stored as x = cov.factor_product(z), or as phi(x) on the worker that drew
+    the chunk when phi is given; with cov None, n columns and x = z."""
     count, n = out.shape
     width = n if cov is None else cov.sampling_factor.shape[1]
 
@@ -238,23 +241,27 @@ def _fill_chunks(out: np.ndarray, seed, stream_id, lane, cov, threads: int) -> N
         hi = min(lo + CHUNK_SIZE, count)
         rng = substream(seed, stream_id, lane, chunk_index)
         z = rng.standard_normal((hi - lo, width))
-        out[lo:hi] = z if cov is None else cov.factor_product(z)
+        x = z if cov is None else cov.factor_product(z)
+        out[lo:hi] = x if phi is None else phi(x)
 
     thread_map(work, list(enumerate(range(0, count, CHUNK_SIZE))), threads)
 
 
 def sample_gaussian(cov: CovarianceSpec, count: int, seed: int, stream_id: int,
-                    *, threads: int = THREADS) -> np.ndarray:
+                    *, threads: int = THREADS, phi=None) -> np.ndarray:
     """Draw count i.i.d. N(0, Sigma) rows via the spectral factor, as a
-    read-only count x n array.
+    read-only count x n array; given phi, the image phi(X) instead.
 
-    Deterministic per (seed, stream_id) and independent of `threads`.
+    phi maps a chunk of rows to as many rows of n values (a coordinate-wise
+    map, or a row-wise one such as x -> sgn(x @ W.T) with W n x n).  It is
+    applied chunk by chunk as the draws are made, so only the image is held
+    whole.  Deterministic per (seed, stream_id) and independent of `threads`.
     Singular covariances are allowed.
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
     data = np.empty((count, cov.dim))
-    _fill_chunks(data, seed, stream_id, _LANE_DIRECT, cov, threads)
+    _fill_chunks(data, seed, stream_id, _LANE_DIRECT, cov, threads, phi)
     return _read_only(data)
 
 

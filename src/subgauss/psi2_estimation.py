@@ -275,7 +275,9 @@ def scan_directions(y, n_random: int, seed: int, stream_id: int,
     representatives shifted by the projection's mean.
 
     Directions go in fixed blocks whose working set fits SCAN_BLOCK_BYTES, so
-    the full rows x directions projection is never built.  Blocks run on
+    the full rows x directions projection is never built.  A block is
+    projected as block @ y.T, which BLAS reads in place: y is never copied,
+    not even when it is a column slice of a wider array.  Blocks run on
     `threads` workers and are reduced in direction order, the first maximum
     winning ties: the result is the same for any thread count.  (A block's
     product can round its last bits differently when its width changes, which
@@ -292,14 +294,11 @@ def scan_directions(y, n_random: int, seed: int, stream_id: int,
     # in the root solve.
     size = max(1, SCAN_BLOCK_BYTES // (8 * (rows + 6 * RESAMPLES * BINS)))
     blocks = [range(lo, min(lo + size, len(dirs))) for lo in range(0, len(dirs), size)]
-    # Projecting onto the transpose gives each direction a contiguous row, and
-    # runs the narrow block products about twice as fast as y @ block.T.
-    y_t = np.ascontiguousarray(y.T)
 
     def work(block):
         # _draw_support rejects what NaN or inf in y project to (errstate is per thread)
         with np.errstate(invalid="ignore", over="ignore"):
-            proj = dirs[block.start:block.stop] @ y_t
+            proj = dirs[block.start:block.stop] @ y.T
         supports = [_draw_support(x, substream(seed, stream_id, _TAG_SCAN_BOOT, d))
                     for x, d in zip(proj, block)]
         estimates = _orlicz_estimate(supports, rows)

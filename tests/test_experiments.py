@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subgauss import psi2_estimation
 from subgauss.errors import DimensionTooSmall, DomainError, ValidationError
 from subgauss.experiments import (
     CorollaryConfig,
@@ -344,6 +346,19 @@ class TestCounterexample:
             CounterexampleConfig(dims=(8, 16, 64), samples=9_999, seed=0)
         with pytest.raises(ValidationError, match="samples"):
             run_counterexample([8, 16, 64], samples=5_000, seed=0)
+
+    def test_peak_memory_is_about_one_sign_sample(self, monkeypatch):
+        # with small scan blocks the sample dominates: the signs are held once,
+        # with neither the draws nor a transposed copy beside them
+        monkeypatch.setattr(psi2_estimation, "SCAN_BLOCK_BYTES", 2**20)
+        rows, dims = 10**5, [8, 16, 64]
+        tracemalloc.start()  # it sees numpy's buffers
+        try:
+            run_counterexample(dims, rows, 1, threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * rows * max(dims) * 8
 
 
 class TestReportPlumbing:

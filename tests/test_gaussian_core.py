@@ -14,6 +14,7 @@ from subgauss.gaussian_core import (
     split_covariance,
     substream,
 )
+from subgauss.nonlinearity import get_map
 
 
 def wishart_spec(m, n, seed=0):
@@ -146,6 +147,25 @@ class TestSampleGaussian:
     def test_count_validation(self):
         with pytest.raises(ValidationError):
             sample_gaussian(CovarianceSpec.identity(2), 0, seed=0, stream_id=0)
+
+
+W_ROWS = substream(12, "test-phi-W").standard_normal((6, 6))
+
+
+class TestMappedSample:
+    """sample_gaussian(..., phi=f) maps each chunk as it is drawn."""
+
+    @pytest.mark.parametrize("threads", (1, 3))
+    @pytest.mark.parametrize(
+        "phi", (np.sign, get_map("clamp"), lambda x: np.sign(x @ W_ROWS.T)),
+        ids=("sign", "clamp", "sign_of_Wx"))
+    def test_equals_the_map_of_the_sample(self, phi, threads):
+        count = CHUNK_SIZE + 100  # two chunks, the second ragged
+        for cov in (wishart_spec(6, 12, seed=3), CovarianceSpec.identity(6)):
+            mapped = sample_gaussian(cov, count, 5, 2, threads=threads, phi=phi)
+            plain = sample_gaussian(cov, count, 5, 2, threads=threads)
+            np.testing.assert_array_equal(mapped, phi(plain))
+            assert not mapped.flags.writeable
 
 
 class TestFactorProduct:

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import subgauss
 
@@ -14,6 +16,10 @@ def test_cli_import_leaves_quadrature_and_special_functions_unloaded():
     # load only when a quadrature first runs
     code = ("import sys, subgauss.cli_report; "
             "print(sorted({'scipy.integrate', 'scipy.special'} & set(sys.modules)))")
+    # the child imports the package from where this process found it
+    src = str(Path(subgauss.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
+                         check=True, env=env)
     assert out.stdout.strip() == "[]"

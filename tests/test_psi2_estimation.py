@@ -305,6 +305,19 @@ class TestPsi2Vector:
         assert (one.value, one.ci_low, one.ci_high) == (three.value, three.ci_low, three.ci_high)
         np.testing.assert_array_equal(one.argmax_direction, three.argmax_direction)
 
+    @pytest.mark.parametrize("side", ("left", "right"))
+    def test_column_slice_scans_as_its_copy(self, side):
+        # a block of a wider array is projected in place, with no copy
+        x = sample_gaussian(CovarianceSpec.identity(12), 2 * 10**4, seed=3, stream_id=0)
+        y = np.sign(x @ substream(3, "vec-slice").standard_normal((12, 12)).T)
+        block = y[:, :5] if side == "left" else y[:, 5:]
+        view = scan_directions(block, 8, 2, 1, lambda_grid=[0.25, 0.5, 1.0], threads=2)
+        copy = scan_directions(block.copy(), 8, 2, 1, lambda_grid=[0.25, 0.5, 1.0],
+                               threads=2)
+        assert (view.value, view.ci_low, view.ci_high, view.mgf_sigma_max) == (
+            copy.value, copy.ci_low, copy.ci_high, copy.mgf_sigma_max)
+        np.testing.assert_array_equal(view.argmax_direction, copy.argmax_direction)
+
     def test_deterministic_given_seed(self):
         y = np.where(substream(13, "vec-det").random((10**4, 4)) < 0.5, -1.0, 1.0)
         a = scan_directions(y, 4, 3, 0)
