@@ -18,15 +18,11 @@ from .gaussian_core import (
     CovarianceSplit,
     condition_number,
     sample_gaussian,
-    sample_split_gaussian,
     split_covariance,
 )
 from .nonlinearity import (
     BoundedMap,
     get_map,
-    lipschitz_certificate,
-    smoothed_mean,
-    smoothed_mean_derivative,
 )
 from .psi2_estimation import (
     Psi2Estimate,
@@ -53,12 +49,8 @@ __all__ = [
     "ValidationError",
     "condition_number",
     "get_map",
-    "lipschitz_certificate",
     "psi2_scalar",
     "sample_gaussian",
-    "sample_split_gaussian",
-    "smoothed_mean",
-    "smoothed_mean_derivative",
     "split_covariance",
     "__version__",
 ]

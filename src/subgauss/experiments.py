@@ -119,13 +119,21 @@ def _check_nonempty(name: str, values: tuple) -> None:
         raise ValidationError(f"{name} must not be empty")
 
 
+def _is_integral(value) -> bool:
+    return math.isfinite(value) and value == int(value)
+
+
 def _check_dims(dims: tuple, least: int) -> None:
     _check_nonempty("dims", dims)
+    if not all(_is_integral(n) for n in dims):  # a study would truncate them
+        raise ValidationError(f"dims must be integers, got {dims}")
     if any(n < least for n in dims):
         raise ValidationError(f"dims must be >= {least}, got {dims}")
 
 
 def _check_directions(directions: int) -> None:
+    if not _is_integral(directions):
+        raise ValidationError(f"directions must be an integer, got {directions}")
     if directions < 0:
         raise ValidationError(f"directions must be >= 0, got {directions}")
 
@@ -365,8 +373,8 @@ def run_wishart_conditioning(n_list, trials: int, seed: int, *,
     """Distribution of kappa(W1 W1^T) for the half-height block of a square
     Gaussian matrix: median, 5th/95th percentiles, and the exceedance rate of
     a configurable threshold as the proxy for the ill-conditioned event."""
-    n_list = [int(n) for n in n_list]
-    WishartConfig(tuple(n_list), trials, threshold, seed)  # checks the preconditions
+    cfg = WishartConfig(tuple(n_list), trials, threshold, seed)  # checks the preconditions
+    n_list = [int(n) for n in cfg.dims]
     rows = []
     center = 0.5 * (KAPPA_WINDOW[0] + KAPPA_WINDOW[1])
     halfwidth = 0.5 * (KAPPA_WINDOW[1] - KAPPA_WINDOW[0])
@@ -400,8 +408,8 @@ def run_counterexample(n_list, samples: int, seed: int, *,
     Estimates include the all-ones direction (where the projection is exactly
     +-sqrt(n)) and the report carries the fitted log-log slope.
     """
-    n_list = [int(n) for n in n_list]
-    CounterexampleConfig(tuple(n_list), samples, seed)  # checks the preconditions
+    cfg = CounterexampleConfig(tuple(n_list), samples, seed)  # checks the preconditions
+    n_list = [int(n) for n in cfg.dims]
     eff_seed = subseed(seed, "counterexample")
     rows = []
     values = []

@@ -1,13 +1,13 @@
 """Covariance specs, spectral splitting, and reproducible multivariate Gaussian sampling.
 
 Sampling uses the spectral factor Q * sqrt(Lambda) on the range, one normal
-per nonzero eigenvalue, so singular covariances (rank-one all-ones, split
-residuals) are handled uniformly where Cholesky would fail.  A factor with one
-nonzero per row (identity, diagonal, rank-one) is applied as a column gather,
-bit-identical to the dense product.  Draws come in fixed-size chunks, each from
-its own counter-based substream, so results are bit-identical for any worker
-count.  A map given to the sampler is applied to each chunk as it is drawn, so
-a study that needs only the image phi(X) never holds X whole.
+per nonzero eigenvalue, so singular covariances (rank-one all-ones, the
+residual of a split) are handled uniformly where Cholesky would fail.  A factor
+with one nonzero per row (identity, diagonal, rank-one) is applied as a column
+gather, bit-identical to the dense product.  Draws come in fixed-size chunks,
+each from its own counter-based substream, so results are bit-identical for any
+worker count.  A map given to the sampler is applied to each chunk as it is
+drawn, so a study that needs only the image phi(X) never holds X whole.
 """
 
 from __future__ import annotations
@@ -32,11 +32,6 @@ CHUNK_SIZE = 4096        # fixed chunk size: determinism must not depend on thre
 # Default worker count: the CPUs this process may run on.
 THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
-
-_LANE_DIRECT = 0
-_LANE_SPLIT_Z = 1
-_LANE_SPLIT_G = 2
-
 
 def _key_part(part) -> int:
     if isinstance(part, str):
@@ -213,8 +208,7 @@ def condition_number(cov: CovarianceSpec) -> float:
 def split_covariance(cov: CovarianceSpec) -> CovarianceSplit:
     """Split Sigma into a*I + Sigma_G with a = lambda_min.
 
-    Requires a nonsingular input: a = 0 would make the smoothing step's
-    Lipschitz constant infinite downstream.
+    Requires a nonsingular input: a = 0 would leave no isotropic part.
     """
     if cov.is_singular:
         raise SingularCovariance("cannot split a singular covariance (a would be 0)")
@@ -228,20 +222,20 @@ def split_covariance(cov: CovarianceSpec) -> CovarianceSplit:
     return CovarianceSplit(a=a, residual=residual)
 
 
-def _fill_chunks(out: np.ndarray, seed, stream_id, lane, cov, threads: int,
-                 phi=None) -> None:
+def _fill_chunks(out: np.ndarray, seed, stream_id, cov, threads: int, phi=None) -> None:
     """Standard normal chunks z, one column per column of cov's sampling factor,
     stored as x = cov.factor_product(z), or as phi(x) on the worker that drew
-    the chunk when phi is given; with cov None, n columns and x = z."""
-    count, n = out.shape
-    width = n if cov is None else cov.sampling_factor.shape[1]
+    the chunk when phi is given."""
+    count = out.shape[0]
+    width = cov.sampling_factor.shape[1]
 
     def work(chunk_index_lo):
         chunk_index, lo = chunk_index_lo
         hi = min(lo + CHUNK_SIZE, count)
-        rng = substream(seed, stream_id, lane, chunk_index)
+        # the constant 0 is part of every chunk's key; changing it changes every draw
+        rng = substream(seed, stream_id, 0, chunk_index)
         z = rng.standard_normal((hi - lo, width))
-        x = z if cov is None else cov.factor_product(z)
+        x = cov.factor_product(z)
         out[lo:hi] = x if phi is None else phi(x)
 
     thread_map(work, list(enumerate(range(0, count, CHUNK_SIZE))), threads)
@@ -261,23 +255,5 @@ def sample_gaussian(cov: CovarianceSpec, count: int, seed: int, stream_id: int,
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
     data = np.empty((count, cov.dim))
-    _fill_chunks(data, seed, stream_id, _LANE_DIRECT, cov, threads, phi)
+    _fill_chunks(data, seed, stream_id, cov, threads, phi)
     return _read_only(data)
-
-
-def sample_split_gaussian(split: CovarianceSplit, count: int, seed: int, stream_id: int,
-                          *, threads: int = THREADS) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the isotropic part Z ~ N(0, I) and residual part G ~ N(0, Sigma_G),
-    as read-only count x n arrays.
-
-    Z and G come from independent substreams; sqrt(a)*Z + G has the law of the
-    original covariance.
-    """
-    if count < 1:
-        raise ValidationError(f"count must be >= 1, got {count}")
-    n = split.residual.dim
-    z = np.empty((count, n))
-    _fill_chunks(z, seed, stream_id, _LANE_SPLIT_Z, None, threads)
-    g = np.empty((count, n))
-    _fill_chunks(g, seed, stream_id, _LANE_SPLIT_G, split.residual, threads)
-    return _read_only(z), _read_only(g)

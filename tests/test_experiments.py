@@ -361,6 +361,23 @@ class TestCounterexample:
         assert peak < 1.5 * rows * max(dims) * 8
 
 
+@pytest.mark.parametrize("build", [
+    lambda: TheoremConfig(dims=(16.5,), kappas=(1.0,)),
+    lambda: TheoremConfig(dims=(16,), kappas=(1.0,), directions=2.5),
+    lambda: CorollaryConfig(dims=(32, 64.5)),
+    lambda: CorollaryConfig(dims=(32,), directions=math.nan),
+    lambda: WishartConfig(dims=(8.9, 16), trials=100, threshold=100.0, seed=1),
+    lambda: CounterexampleConfig(dims=(8, 16, 64.25), samples=10_000, seed=1),
+    lambda: run_wishart_conditioning([8.9, 16], 100, 1),
+    lambda: run_counterexample([8.5, 16, 64], 10_000, 1),
+], ids=["theorem-dims", "theorem-directions", "corollary-dims", "corollary-directions",
+        "wishart-dims", "counterexample-dims", "run_wishart", "run_counterexample"])
+def test_non_integral_counts_rejected(build):
+    # a study would truncate them and report a run nobody asked for
+    with pytest.raises(ValidationError, match="integer"):
+        build()
+
+
 class TestReportPlumbing:
     def test_merge_reports_concatenates_rows(self):
         cfg_a = TheoremConfig(dims=(8,), kappas=(1.0,), map_name="sgn",

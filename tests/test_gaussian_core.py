@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from subgauss.errors import SingularCovariance, ValidationError
 from subgauss.gaussian_core import (
@@ -10,7 +9,6 @@ from subgauss.gaussian_core import (
     CovarianceSpec,
     condition_number,
     sample_gaussian,
-    sample_split_gaussian,
     split_covariance,
     substream,
 )
@@ -197,39 +195,12 @@ class TestFactorProduct:
 class TestSampledArrays:
     def test_sampled_data_is_read_only(self):
         x = sample_gaussian(CovarianceSpec.identity(3), 100, seed=1, stream_id=0)
-        z, g = sample_split_gaussian(split_covariance(CovarianceSpec.diagonal([1.0, 4.0])),
-                                     100, seed=1, stream_id=0)
-        for data in (x, z, g):
-            assert not data.flags.writeable
+        assert not x.flags.writeable
 
 
 class TestSampleSplitGaussian:
     def test_identity_residual_is_zero(self):
+        # the residual of an isotropic covariance has a zero-width sampling factor
         split = split_covariance(CovarianceSpec.identity(5))
-        _, g = sample_split_gaussian(split, 2000, seed=1, stream_id=0)
+        g = sample_gaussian(split.residual, 2000, seed=1, stream_id=0)
         assert np.max(np.abs(g)) == 0.0
-
-    def test_combined_covariance(self):
-        split = split_covariance(CovarianceSpec.diagonal([1.0, 4.0]))
-        z, g = sample_split_gaussian(split, 10**5, seed=2, stream_id=0)
-        x = np.sqrt(split.a) * z + g
-        emp = x.T @ x / x.shape[0]
-        assert np.max(np.abs(emp - np.diag([1.0, 4.0]))) < 0.1
-
-    def test_same_law_as_direct_sampling(self):
-        # two-sample KS oracle, coordinate-wise
-        cov = wishart_spec(4, 4, seed=7)
-        split = split_covariance(cov)
-        z, g = sample_split_gaussian(split, 10**5, seed=3, stream_id=0)
-        x = np.sqrt(split.a) * z + g
-        direct = sample_gaussian(cov, 10**5, seed=4, stream_id=0)
-        for j in range(4):
-            ks = stats.ks_2samp(x[:, j], direct[:, j]).statistic
-            assert ks < 0.02
-
-    def test_z_and_g_independent_streams(self):
-        split = split_covariance(wishart_spec(3, 3, seed=8))
-        z, g = sample_split_gaussian(split, 2000, seed=5, stream_id=0)
-        assert not np.array_equal(z, g)
-        corr = np.corrcoef(z[:, 0], g[:, 0])[0, 1]
-        assert abs(corr) < 0.1
