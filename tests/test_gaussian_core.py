@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from subgauss.errors import SingularCovariance, ValidationError
 from subgauss.gaussian_core import (
@@ -204,3 +205,37 @@ class TestSampleSplitGaussian:
         split = split_covariance(CovarianceSpec.identity(5))
         g = sample_gaussian(split.residual, 2000, seed=1, stream_id=0)
         assert np.max(np.abs(g)) == 0.0
+
+    # X = sqrt(a) Z + G, with Z ~ N(0, I) and G ~ N(0, Sigma_G) drawn on two
+    # streams, has the law N(0, Sigma) of the covariance that was split
+    @staticmethod
+    def _split_draws(split, count, seed):
+        z = sample_gaussian(CovarianceSpec.identity(split.residual.dim), count,
+                            seed=seed, stream_id=0)
+        g = sample_gaussian(split.residual, count, seed=seed, stream_id=1)
+        return z, g
+
+    def test_combined_covariance(self):
+        split = split_covariance(CovarianceSpec.diagonal([1.0, 4.0]))
+        z, g = self._split_draws(split, 10**5, seed=2)
+        x = np.sqrt(split.a) * z + g
+        emp = x.T @ x / x.shape[0]
+        assert np.max(np.abs(emp - np.diag([1.0, 4.0]))) < 0.1
+
+    def test_same_law_as_direct_sampling(self):
+        # two-sample KS oracle, coordinate-wise
+        cov = wishart_spec(4, 4, seed=7)
+        split = split_covariance(cov)
+        z, g = self._split_draws(split, 10**5, seed=3)
+        x = np.sqrt(split.a) * z + g
+        direct = sample_gaussian(cov, 10**5, seed=4, stream_id=0)
+        for j in range(4):
+            ks = stats.ks_2samp(x[:, j], direct[:, j]).statistic
+            assert ks < 0.02
+
+    def test_z_and_g_independent_streams(self):
+        split = split_covariance(wishart_spec(3, 3, seed=8))
+        z, g = self._split_draws(split, 2000, seed=5)
+        assert not np.array_equal(z, g)
+        corr = np.corrcoef(z[:, 0], g[:, 0])[0, 1]
+        assert abs(corr) < 0.1

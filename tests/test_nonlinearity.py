@@ -35,6 +35,11 @@ class TestBoundedMap:
         with pytest.raises(BoundViolation):
             BoundedMap("linear", lambda x: np.asarray(x, dtype=float))
 
+    def test_certificate_above_one_rejected(self):
+        # bounded, but not by 1
+        with pytest.raises(BoundViolation):
+            BoundedMap("big", lambda x: 1.5 * np.sign(x))
+
     def test_registry_names(self):
         for name in BUILTINS:
             bmap = get_map(name)
