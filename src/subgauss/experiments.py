@@ -32,6 +32,7 @@ from .gaussian_core import (
     THREADS,
     CovarianceSpec,
     condition_number,
+    sample_centered_half,
     sample_gaussian,
     subseed,
     substream,
@@ -252,20 +253,12 @@ def _ratio(values) -> float:
 
 # Experiment runners ------------------------------------------------------------
 
-def _centered_image(bmap, cov: CovarianceSpec, count: int, seed: int, stream_id: int,
-                    threads: int) -> np.ndarray:
-    """phi(X) for count draws of X ~ N(0, cov), the second half centered by the
-    mean of the first.  The sampler maps each chunk as it draws it, so the
-    draws are never held whole, and the uncentered image is freed on return."""
-    y = sample_gaussian(cov, count, seed, stream_id, threads=threads, phi=bmap)
-    half = count // 2
-    return y[half:] - y[:half].mean(axis=0)
-
-
 def run_theorem_experiment(cfg: TheoremConfig, *, threads: int = THREADS) -> ExperimentReport:
     """Per (n, kappa) cell: sample X ~ N(0, Sigma), form Y = phi(X), center by
     the mean of an independent half, and scan the direction set for the max
-    Orlicz estimate and the max fitted MGF sigma.
+    Orlicz estimate and the max fitted MGF sigma.  The sampler frees the
+    centering half once it has its mean and only then draws the scanned half,
+    so a cell never holds X or the whole image, only one half at a time.
 
     The pass gate on each cell is the theorem's variance proxy: fitted sigma
     at most sqrt(4 + (2/pi)(kappa - 1)).  Orlicz estimates are reported as
@@ -278,7 +271,8 @@ def run_theorem_experiment(cfg: TheoremConfig, *, threads: int = THREADS) -> Exp
     sigma_by_kappa = {k: {} for k in cfg.kappas}
     for cell, (n, kappa) in enumerate(product(cfg.dims, cfg.kappas)):
         cov = make_conditioned_covariance(n, kappa, subseed(eff_seed, "cov", cell))
-        centered = _centered_image(bmap, cov, cfg.samples_per_cell, eff_seed, cell, threads)
+        centered = sample_centered_half(cov, cfg.samples_per_cell, eff_seed, cell,
+                                        threads=threads, phi=bmap)
         scan = scan_directions(centered, cfg.directions, eff_seed, cell,
                                lambda_grid=LAMBDA_GRID, threads=threads)
         del centered  # the next cell samples before this name is rebound

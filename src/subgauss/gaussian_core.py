@@ -8,15 +8,22 @@ gather, bit-identical to the dense product.  Draws come in fixed-size chunks,
 each from its own counter-based substream, so results are bit-identical for any
 worker count.  A map given to the sampler is applied to each chunk as it is
 drawn, so a study that needs only the image phi(X) never holds X whole.
+`sample_centered_half` gives the second half of such a sample centered by the
+mean of the first, and frees the first half before it draws the second, so
+only one half is held at a time.  While more than one worker runs, numpy's
+bundled OpenBLAS is held at one thread, so workers and BLAS threads do not
+oversubscribe the cores.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -67,12 +74,40 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None when
+    numpy links no such library.  Looked up on first use, not at import."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, set_.argtypes, set_.restype = ctypes.c_int, [ctypes.c_int], None
+        return get, set_
+    return None
+
+
 def thread_map(work, jobs, threads: int) -> list:
-    """[work(job) for job in jobs], on `threads` worker threads when above 1."""
-    if threads > 1:
+    """[work(job) for job in jobs], on `threads` worker threads when above 1.
+
+    While they run, numpy's OpenBLAS is held at one thread and then restored:
+    workers times BLAS threads must not exceed the cores.  That count is
+    process-wide, so calls are made from one thread at a time.
+    """
+    if threads <= 1:
+        return [work(job) for job in jobs]
+    get, set_ = _openblas_threads() or (lambda: None, lambda count: None)
+    previous = get()
+    set_(1)
+    try:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(work, jobs))
-    return [work(job) for job in jobs]
+    finally:
+        set_(previous)
 
 
 @dataclass(frozen=True)
@@ -222,11 +257,14 @@ def split_covariance(cov: CovarianceSpec) -> CovarianceSplit:
     return CovarianceSplit(a=a, residual=residual)
 
 
-def _fill_chunks(out: np.ndarray, seed, stream_id, cov, threads: int, phi=None) -> None:
+def _fill_chunks(out: np.ndarray, seed, stream_id, cov, threads: int, phi=None,
+                 first: int = 0) -> None:
     """Standard normal chunks z, one column per column of cov's sampling factor,
     stored as x = cov.factor_product(z), or as phi(x) on the worker that drew
-    the chunk when phi is given."""
-    count = out.shape[0]
+    the chunk when phi is given.  out holds the sample's rows from chunk
+    `first` on, to its last."""
+    offset = first * CHUNK_SIZE
+    count = offset + out.shape[0]
     width = cov.sampling_factor.shape[1]
 
     def work(chunk_index_lo):
@@ -236,9 +274,9 @@ def _fill_chunks(out: np.ndarray, seed, stream_id, cov, threads: int, phi=None) 
         rng = substream(seed, stream_id, 0, chunk_index)
         z = rng.standard_normal((hi - lo, width))
         x = cov.factor_product(z)
-        out[lo:hi] = x if phi is None else phi(x)
+        out[lo - offset:hi - offset] = x if phi is None else phi(x)
 
-    thread_map(work, list(enumerate(range(0, count, CHUNK_SIZE))), threads)
+    thread_map(work, list(enumerate(range(offset, count, CHUNK_SIZE), first)), threads)
 
 
 def sample_gaussian(cov: CovarianceSpec, count: int, seed: int, stream_id: int,
@@ -257,3 +295,31 @@ def sample_gaussian(cov: CovarianceSpec, count: int, seed: int, stream_id: int,
     data = np.empty((count, cov.dim))
     _fill_chunks(data, seed, stream_id, cov, threads, phi)
     return _read_only(data)
+
+
+def sample_centered_half(cov: CovarianceSpec, count: int, seed: int, stream_id: int,
+                         *, threads: int = THREADS, phi=None) -> np.ndarray:
+    """Rows count // 2 on of sample_gaussian(cov, count, seed, stream_id,
+    phi=phi), centered by the mean of the rows before them, as a read-only
+    array: y[half:] - y[:half].mean(axis=0) for that sample y, bit for bit.
+
+    The whole sample is never held.  The chunks that hold the first half are
+    sampled first; they give the mean and the rest of their rows, and are
+    freed before the later chunks are drawn into the result, which is then
+    centered in place.  Every chunk is drawn whole, as in the full sample, so
+    its rows keep their bits.
+    """
+    half = count // 2
+    if half < 1:
+        raise ValidationError(f"count must be >= 2, got {count}")
+    chunks = -(-half // CHUNK_SIZE)  # the chunks holding the first half
+    head = sample_gaussian(cov, min(chunks * CHUNK_SIZE, count), seed, stream_id,
+                           threads=threads, phi=phi)
+    mean = head[:half].mean(axis=0)
+    rest = head[half:].copy()  # less than a chunk
+    del head
+    out = np.empty((count - half, cov.dim))
+    out[:len(rest)] = rest
+    _fill_chunks(out[len(rest):], seed, stream_id, cov, threads, phi, first=chunks)
+    out -= mean
+    return _read_only(out)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from subgauss import gaussian_core
 from subgauss.cli_report import (
     STUDIES,
     _assemble_run_config,
@@ -14,6 +15,10 @@ from subgauss.errors import IoError, SchemaError, ValidationError
 from subgauss.experiments import ExperimentReport, ReportRow, report_metadata
 
 CX_ARGS = ["counterexample", "--dims", "8,16,64", "--samples", "20000", "--seed", "7"]
+THEOREM_ARGS = ["theorem", "--maps", "sgn,clamp", "--dims", "8,16", "--kappas", "1,4",
+                "--samples", "10000", "--directions", "4", "--seed", "3"]
+COROLLARY_ARGS = ["corollary", "--dims", "16", "--w-draws", "20", "--samples", "10000",
+                  "--directions", "0", "--seed", "3"]
 
 
 def tiny_report(passed=True):
@@ -296,3 +301,36 @@ class TestParameterTable:
         run = parse_config('{"experiment":"all","seed":1}')
         assert len(run.configs["theorem"]) == 2
         assert run.configs["counterexample"].dims == (16, 64, 256)
+
+
+class TestBlasThreads:
+    """Study workers hold numpy's OpenBLAS at one thread; no report depends on it."""
+
+    @pytest.fixture
+    def blas(self):
+        blas = gaussian_core._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy links no bundled OpenBLAS")
+        get, set_ = blas
+        previous = get()
+        yield get, set_
+        set_(previous)
+
+    def test_workers_run_with_one_blas_thread(self, blas):
+        get, set_ = blas
+        set_(2)
+        assert gaussian_core.thread_map(lambda _: get(), range(4), 2) == [1] * 4
+        assert get() == 2  # restored once the workers are done
+        assert gaussian_core.thread_map(lambda _: get(), range(2), 1) == [2] * 2
+
+    @pytest.mark.parametrize("args", (THEOREM_ARGS, COROLLARY_ARGS), ids=("theorem", "corollary"))
+    def test_reports_byte_identical_across_blas_threads(self, blas, args, tmp_path):
+        # one study thread, so BLAS runs at the count set here
+        _, set_ = blas
+        for count in (1, 2):
+            set_(count)
+            out = str(tmp_path / str(count))
+            assert run_cli(args + ["--threads", "1", "--out", out]) in (0, 1)
+        for suffix in (".csv", "_curves.csv"):
+            name = args[0] + suffix
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()

@@ -191,6 +191,21 @@ class TestTheoremExperiment:
         with pytest.raises(ValidationError, match=f"{key} must not be empty"):
             TheoremConfig(dims=dims, kappas=kappas)
 
+    def test_peak_memory_is_about_the_scanned_half(self, monkeypatch):
+        # with small scan blocks one half of the image dominates: the centering
+        # half is freed before the scanned half is drawn, and nothing is copied
+        monkeypatch.setattr(psi2_estimation, "SCAN_BLOCK_BYTES", 2**20)
+        rows, n = 10**5, 64
+        cfg = TheoremConfig(dims=(n,), kappas=(1.0,), map_name="clamp",
+                            samples_per_cell=rows, directions=0, seed=1)
+        tracemalloc.start()  # it sees numpy's buffers
+        try:
+            run_theorem_experiment(cfg, threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * rows * n * 8
+
 
 class TestConditionalHoeffding:
     def test_identity_covariance_mgf_within_envelope(self):

@@ -9,6 +9,7 @@ from subgauss.gaussian_core import (
     CHUNK_SIZE,
     CovarianceSpec,
     condition_number,
+    sample_centered_half,
     sample_gaussian,
     split_covariance,
     substream,
@@ -165,6 +166,32 @@ class TestMappedSample:
             plain = sample_gaussian(cov, count, 5, 2, threads=threads)
             np.testing.assert_array_equal(mapped, phi(plain))
             assert not mapped.flags.writeable
+
+
+class TestCenteredHalf:
+    """sample_centered_half holds one half at a time, with the full sample's bits."""
+
+    @pytest.mark.parametrize("threads", (1, 2, 3))
+    @pytest.mark.parametrize("count", (
+        1001,                    # one chunk
+        2 * CHUNK_SIZE + 100,    # the half inside a chunk
+        2 * 3 * CHUNK_SIZE,      # the half on a chunk boundary
+        3 * CHUNK_SIZE + 17,     # odd
+    ), ids=("one-chunk", "half-inside-a-chunk", "half-on-a-boundary", "odd"))
+    @pytest.mark.parametrize("phi", (np.sign, get_map("clamp")), ids=("sgn", "clamp"))
+    def test_equals_the_centered_second_half(self, phi, count, threads):
+        # clamp's sums are inexact, so the mean must be summed as numpy sums the
+        # stored half; a dense factor's product must see whole chunks
+        for cov in (CovarianceSpec.identity(256), wishart_spec(16, 32, seed=3)):
+            y = sample_gaussian(cov, count, 5, 2, threads=threads, phi=phi)
+            half = count // 2
+            centered = sample_centered_half(cov, count, 5, 2, threads=threads, phi=phi)
+            assert np.array_equal(centered, y[half:] - y[:half].mean(axis=0))
+            assert not centered.flags.writeable
+
+    def test_count_validation(self):
+        with pytest.raises(ValidationError, match="count"):
+            sample_centered_half(CovarianceSpec.identity(2), 1, seed=0, stream_id=0)
 
 
 class TestFactorProduct:
