@@ -21,6 +21,7 @@ import os
 import platform
 import sys
 import time
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,11 +29,13 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .errors import IoError, SchemaError, SubgaussError, ValidationError
+from .errors import IoError, SchemaError, SubgaussError, ValidationError, check_count
 from .experiments import (
+    EXCEEDANCE_THRESHOLD,
     CorollaryConfig,
     CounterexampleConfig,
     ExperimentReport,
+    ReportRow,
     TheoremConfig,
     WishartConfig,
     merge_reports,
@@ -50,15 +53,18 @@ DEFAULT_SEED = 42
 # The parameters of each study: key -> (kind, default).  A kind is "int",
 # "num" (an int or a float), "str" or a list of one of these ("[int]"); it alone
 # fixes the JSON type check, the flag (--w-draws for w_draws) and the help line.
-# Value limits are checked by the study's config dataclass in experiments.
+# Limits, and the defaults a config declares, come from the study's config class.
 STUDIES = {
     "theorem": {"dims": ("[int]", [16, 64, 256]), "kappas": ("[num]", [1, 4, 16]),
-                "maps": ("[str]", ["sgn", "clamp"]), "samples": ("int", 100_000),
-                "directions": ("int", 64)},
-    "corollary": {"dims": ("[int]", [32, 64, 128]), "w_draws": ("int", 50),
-                  "samples": ("int", 100_000), "directions": ("int", 32)},
+                "maps": ("[str]", ["sgn", "clamp"]),
+                "samples": ("int", TheoremConfig.samples_per_cell),
+                "directions": ("int", TheoremConfig.directions)},
+    "corollary": {"dims": ("[int]", [32, 64, 128]),
+                  "w_draws": ("int", CorollaryConfig.w_draws),
+                  "samples": ("int", CorollaryConfig.samples_per_w),
+                  "directions": ("int", CorollaryConfig.directions)},
     "wishart": {"dims": ("[int]", [64, 128, 256]), "trials": ("int", 1000),
-                "threshold": ("num", 100.0)},
+                "threshold": ("num", EXCEEDANCE_THRESHOLD)},
     "counterexample": {"dims": ("[int]", [16, 64, 256]), "samples": ("int", 100_000)},
 }
 _COMMON = {"seed": ("int", None), "format": ("str", "csv"), "output_dir": ("str", "out")}
@@ -202,8 +208,7 @@ def run_experiments(run: RunConfig, *, threads: int = THREADS) -> list[Experimen
 
 # Report emission --------------------------------------------------------------
 
-_CSV_COLUMNS = ("experiment", "n", "kappa", "estimator", "value",
-                "ci_low", "ci_high", "bound", "pass")
+_CSV_COLUMNS = (*(f.name for f in fields(ReportRow)), "pass")  # ReportRow.as_dict's keys
 
 
 def _fmt(value) -> str:
@@ -259,7 +264,8 @@ def emit_report(report: ExperimentReport, format: str, output_dir, *,
             target = out / f"{report.experiment}.json"
             _prepare_target(target, force)
             sidecar["rows"] = [r.as_dict() for r in report.rows]
-            target.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+            target.write_text(json.dumps(sidecar, indent=2, sort_keys=True,
+                                         default=np.generic.item) + "\n")
             return [target]
 
         csv_path = out / f"{report.experiment}.csv"
@@ -271,11 +277,10 @@ def emit_report(report: ExperimentReport, format: str, output_dir, *,
             writer = csv.writer(fh)
             writer.writerow(_CSV_COLUMNS)
             for r in report.rows:
-                writer.writerow([_fmt(v) for v in
-                                 (r.experiment, r.n, r.kappa, r.estimator, r.value,
-                                  r.ci_low, r.ci_high, r.bound, r.passed)])
+                writer.writerow([_fmt(v) for v in r.as_dict().values()])
         paths.append(csv_path)
-        json_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+        json_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True,
+                                        default=np.generic.item) + "\n")
         paths.append(json_path)
         with open(curves_path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -409,8 +414,7 @@ def run_cli(argv=None) -> int:
     try:
         run = _assemble_run_config(args)
         threads = _env_int("SUBGAUSS_THREADS", THREADS) if args.threads is None else args.threads
-        if threads < 1:
-            raise ValidationError(f"threads must be >= 1, got {threads}")
+        check_count("threads", threads, 1)
     except (SchemaError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         print(SCHEMA_HELP, file=sys.stderr)

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one check of a count."""
+
+from numbers import Integral
 
 
 class SubgaussError(Exception):
@@ -39,6 +41,14 @@ class SchemaError(SubgaussError):
 
 class ValidationError(SubgaussError):
     """Config or argument value violates a documented precondition."""
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Raise ValidationError unless value is an int or numpy integer >= least, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value!r}")
 
 
 class IoError(SubgaussError):

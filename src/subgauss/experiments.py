@@ -20,14 +20,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .errors import DimensionTooSmall, DomainError, ValidationError
+from .errors import DimensionTooSmall, DomainError, ValidationError, check_count
 from .gaussian_core import (
     THREADS,
     CovarianceSpec,
@@ -68,12 +68,8 @@ class ReportRow:
         return self.value <= self.bound
 
     def as_dict(self) -> dict:
-        return {
-            "experiment": self.experiment, "n": self.n, "kappa": self.kappa,
-            "estimator": self.estimator, "value": self.value,
-            "ci_low": self.ci_low, "ci_high": self.ci_high,
-            "bound": self.bound, "pass": self.passed,
-        }
+        """The row's report columns, in order: its fields, then pass."""
+        return {**asdict(self), "pass": self.passed}
 
 
 @dataclass(frozen=True)
@@ -90,14 +86,21 @@ class ExperimentReport:
         return [r for r in self.rows if r.estimator.startswith(prefix)]
 
 
-def report_metadata(experiment: str, seed: int, config_echo: dict) -> dict:
+def config_echo(cfg) -> dict:
+    """A study config's fields but its seed, tuples as lists: its report's echo."""
+    return {key: list(value) if isinstance(value, tuple) else value
+            for key, value in asdict(cfg).items() if key != "seed"}
+
+
+def report_metadata(experiment: str, seed: int, echo: dict) -> dict:
     digest = hashlib.sha256(json.dumps(
-        {"experiment": experiment, "seed": seed, "config": config_echo,
-         "version": __version__}, sort_keys=True).encode()).hexdigest()
+        {"experiment": experiment, "seed": seed, "config": echo,
+         "version": __version__},  # numpy counts are written as Python ints
+        sort_keys=True, default=np.generic.item).encode()).hexdigest()
     return {
         "experiment": experiment,
         "seed": seed,
-        "config": config_echo,
+        "config": echo,
         "package_version": __version__,
         "artifact_version": digest[:12],
         "kappa_exceedance_threshold_note": (
@@ -115,28 +118,11 @@ def merge_reports(reports: list) -> ExperimentReport:
 
 # Configs ---------------------------------------------------------------------
 
-def _check_nonempty(name: str, values: tuple) -> None:
-    if len(values) == 0:  # an empty grid would report vacuous passes
-        raise ValidationError(f"{name} must not be empty")
-
-
-def _is_integral(value) -> bool:
-    return math.isfinite(value) and value == int(value)
-
-
 def _check_dims(dims: tuple, least: int) -> None:
-    _check_nonempty("dims", dims)
-    if not all(_is_integral(n) for n in dims):  # a study would truncate them
-        raise ValidationError(f"dims must be integers, got {dims}")
-    if any(n < least for n in dims):
-        raise ValidationError(f"dims must be >= {least}, got {dims}")
-
-
-def _check_directions(directions: int) -> None:
-    if not _is_integral(directions):
-        raise ValidationError(f"directions must be an integer, got {directions}")
-    if directions < 0:
-        raise ValidationError(f"directions must be >= 0, got {directions}")
+    if not dims:  # an empty grid would report vacuous passes
+        raise ValidationError("dims must not be empty")
+    for n in dims:
+        check_count("dims", n, least)
 
 
 @dataclass(frozen=True)
@@ -150,13 +136,12 @@ class TheoremConfig:
 
     def __post_init__(self):
         _check_dims(self.dims, 2)
-        _check_nonempty("kappas", self.kappas)
+        if not self.kappas:
+            raise ValidationError("kappas must not be empty")
         if not all(1 <= k < math.inf for k in self.kappas):  # NaN fails too
             raise ValidationError(f"kappas must be finite and >= 1, got {self.kappas}")
-        if self.samples_per_cell < 10_000:
-            raise ValidationError(
-                f"samples_per_cell must be >= 1e4, got {self.samples_per_cell}")
-        _check_directions(self.directions)
+        check_count("samples_per_cell", self.samples_per_cell, 10_000)
+        check_count("directions", self.directions, 0)
         get_map(self.map_name)  # fail fast on unknown names
 
 
@@ -170,12 +155,9 @@ class CorollaryConfig:
 
     def __post_init__(self):
         _check_dims(self.dims, 2)
-        if self.w_draws < 20:
-            raise ValidationError(f"w_draws must be >= 20, got {self.w_draws}")
-        if self.samples_per_w < 10_000:
-            raise ValidationError(
-                f"samples_per_w must be >= 1e4, got {self.samples_per_w}")
-        _check_directions(self.directions)
+        check_count("w_draws", self.w_draws, 20)
+        check_count("samples_per_w", self.samples_per_w, 10_000)
+        check_count("directions", self.directions, 0)
 
 
 @dataclass(frozen=True)
@@ -187,8 +169,7 @@ class WishartConfig:
 
     def __post_init__(self):
         _check_dims(self.dims, 2)  # the half block needs a row
-        if self.trials < 100:
-            raise ValidationError(f"trials must be >= 100, got {self.trials}")
+        check_count("trials", self.trials, 100)
         if not math.isfinite(self.threshold):
             raise ValidationError(f"threshold must be finite, got {self.threshold}")
 
@@ -205,8 +186,7 @@ class CounterexampleConfig:
             raise ValidationError(
                 f"counterexample dims need >= 3 values spanning a factor >= 8, "
                 f"got {list(self.dims)}")
-        if self.samples < 10_000:  # the row floor of every vector-norm study
-            raise ValidationError(f"samples must be >= 1e4, got {self.samples}")
+        check_count("samples", self.samples, 10_000)  # the row floor of every vector study
 
 
 # Bounds and fixtures ---------------------------------------------------------
@@ -222,8 +202,7 @@ def sigma_sq_bound(kappa: float) -> float:
 
 def make_conditioned_covariance(n: int, kappa: float, seed: int) -> CovarianceSpec:
     """Random-orthogonal covariance with eigenvalues log-spaced on [1, kappa]."""
-    if n < 2:
-        raise ValidationError(f"dimension must be >= 2, got {n}")
+    check_count("dimension", n, 2)
     if kappa < 1.0:
         raise DomainError(f"kappa must be >= 1, got {kappa}")
     if kappa == 1.0:
@@ -287,10 +266,8 @@ def run_theorem_experiment(cfg: TheoremConfig, *, threads: int = THREADS) -> Exp
                               _ratio(orlicz_by_kappa[kappa].values()), bound=FLATNESS_BOUND))
         rows.append(ReportRow("theorem", None, kappa, f"sigma_flatness:{cfg.map_name}",
                               _ratio(sigma_by_kappa[kappa].values())))
-    echo = {"dims": list(cfg.dims), "kappas": list(cfg.kappas), "map_name": cfg.map_name,
-            "samples_per_cell": cfg.samples_per_cell, "directions": cfg.directions}
     return ExperimentReport("theorem", tuple(rows),
-                            report_metadata("theorem", cfg.seed, echo))
+                            report_metadata("theorem", cfg.seed, config_echo(cfg)))
 
 
 def run_corollary_experiment(cfg: CorollaryConfig, *, threads: int = THREADS) -> ExperimentReport:
@@ -356,10 +333,8 @@ def run_corollary_experiment(cfg: CorollaryConfig, *, threads: int = THREADS) ->
         rows.append(ReportRow("corollary", n, None, "combined_mean", combined_means[n]))
     rows.append(ReportRow("corollary", None, None, "combined_flatness",
                           _ratio(combined_means.values()), bound=FLATNESS_BOUND))
-    echo = {"dims": list(cfg.dims), "w_draws": cfg.w_draws,
-            "samples_per_w": cfg.samples_per_w, "directions": cfg.directions}
     return ExperimentReport("corollary", tuple(rows),
-                            report_metadata("corollary", cfg.seed, echo))
+                            report_metadata("corollary", cfg.seed, config_echo(cfg)))
 
 
 def run_wishart_conditioning(n_list, trials: int, seed: int, *,
@@ -368,15 +343,14 @@ def run_wishart_conditioning(n_list, trials: int, seed: int, *,
     Gaussian matrix: median, 5th/95th percentiles, and the exceedance rate of
     a configurable threshold as the proxy for the ill-conditioned event."""
     cfg = WishartConfig(tuple(n_list), trials, threshold, seed)  # checks the preconditions
-    n_list = [int(n) for n in cfg.dims]
     rows = []
     center = 0.5 * (KAPPA_WINDOW[0] + KAPPA_WINDOW[1])
     halfwidth = 0.5 * (KAPPA_WINDOW[1] - KAPPA_WINDOW[0])
-    for n in n_list:
-        kappas = np.empty(trials)
-        for t in range(trials):
+    for n in cfg.dims:
+        kappas = np.empty(cfg.trials)
+        for t in range(cfg.trials):
             # the first n // 2 rows of the n x n draw, drawn alone
-            w1 = substream(seed, "wishart", n, t).standard_normal((n // 2, n))
+            w1 = substream(cfg.seed, "wishart", n, t).standard_normal((n // 2, n))
             kappas[t] = condition_number(CovarianceSpec.wishart_of(w1))
         median = float(np.median(kappas))
         rows.append(ReportRow("wishart", n, None, "kappa_median", median))
@@ -388,29 +362,29 @@ def run_wishart_conditioning(n_list, trials: int, seed: int, *,
             rows.append(ReportRow("wishart", n, None, "kappa_median_dev",
                                   abs(median - center), bound=halfwidth))
         rows.append(ReportRow("wishart", n, None, "kappa_exceed_rate",
-                              float(np.mean(kappas > threshold)),
+                              float(np.mean(kappas > cfg.threshold)),
                               bound=EXCEEDANCE_RATE_BOUND))
-    echo = {"dims": n_list, "trials": trials, "threshold": threshold}
     return ExperimentReport("wishart", tuple(rows),
-                            report_metadata("wishart", seed, echo))
+                            report_metadata("wishart", cfg.seed, config_echo(cfg)))
 
 
 def run_counterexample(n_list, samples: int, seed: int, *,
                        threads: int = THREADS) -> ExperimentReport:
     """Rank-one all-ones covariance: the norm of sgn(X) grows like sqrt(n).
 
-    Estimates include the all-ones direction (where the projection is exactly
-    +-sqrt(n)) and the report carries the fitted log-log slope.
+    The image is +-(1, ..., 1), so a unit direction v's estimate is exactly
+    |v.1| / sqrt(ln 2), by Cauchy-Schwarz at most the all-ones direction's: the
+    scan takes the canonical and all-ones directions alone, with no random
+    ones.  The report carries the fitted log-log slope.
     """
     cfg = CounterexampleConfig(tuple(n_list), samples, seed)  # checks the preconditions
-    n_list = [int(n) for n in cfg.dims]
-    eff_seed = subseed(seed, "counterexample")
+    eff_seed = subseed(cfg.seed, "counterexample")
     rows = []
     values = []
-    for i, n in enumerate(n_list):
-        y = sample_gaussian(CovarianceSpec.rank_one_ones(n), samples, eff_seed, i,
+    for i, n in enumerate(cfg.dims):
+        y = sample_gaussian(CovarianceSpec.rank_one_ones(n), cfg.samples, eff_seed, i,
                             threads=threads, phi=np.sign)
-        est = scan_directions(y, n, eff_seed, i, threads=threads)
+        est = scan_directions(y, 0, eff_seed, i, threads=threads)
         del y  # the next dimension samples before this name is rebound
         exact = math.sqrt(n / math.log(2.0))
         rows.append(ReportRow("counterexample", n, None, "orlicz",
@@ -418,10 +392,9 @@ def run_counterexample(n_list, samples: int, seed: int, *,
         rows.append(ReportRow("counterexample", n, None, "value_dev",
                               abs(est.value - exact) / exact, bound=0.05))
         values.append(est.value)
-    slope = float(np.polyfit(np.log(n_list), np.log(values), 1)[0])
+    slope = float(np.polyfit(np.log(cfg.dims), np.log(values), 1)[0])
     rows.append(ReportRow("counterexample", None, None, "loglog_slope", slope))
     rows.append(ReportRow("counterexample", None, None, "slope_dev",
                           abs(slope - 0.5), bound=SLOPE_WINDOW_HALFWIDTH))
-    echo = {"dims": n_list, "samples": samples}
     return ExperimentReport("counterexample", tuple(rows),
-                            report_metadata("counterexample", seed, echo))
+                            report_metadata("counterexample", cfg.seed, config_echo(cfg)))

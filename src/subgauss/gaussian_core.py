@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SingularCovariance, ValidationError
+from .errors import SingularCovariance, ValidationError, check_count
 
 # Numerical contract constants.
 SYMMETRY_TOL = 1e-10     # max abs asymmetry accepted at construction
@@ -212,14 +212,15 @@ class CovarianceSpec:
         scale: every other term of the dense product is an exact zero.  That
         covers identity and diagonal covariances, whose factor is a permutation
         times a diagonal (tied eigenvalues are reordered), and the rank-one
-        all-ones covariance, whose factor is a single column.
+        all-ones covariance, whose factor is a single column.  np.take gathers a
+        row-major chunk; z[:, cols] would give a column-major one, slow to store.
         """
         f = self.sampling_factor
         nonzero = f != 0.0
         if np.all(np.count_nonzero(nonzero, axis=1) == 1):
             cols = np.argmax(nonzero, axis=1)
             scale = f[np.arange(self.dim), cols]
-            return lambda z: z[:, cols] * scale
+            return lambda z: np.take(z, cols, axis=1) * scale
         return lambda z: z @ f.T
 
 
@@ -290,8 +291,7 @@ def sample_gaussian(cov: CovarianceSpec, count: int, seed: int, stream_id: int,
     whole.  Deterministic per (seed, stream_id) and independent of `threads`.
     Singular covariances are allowed.
     """
-    if count < 1:
-        raise ValidationError(f"count must be >= 1, got {count}")
+    check_count("count", count, 1)
     data = np.empty((count, cov.dim))
     _fill_chunks(data, seed, stream_id, cov, threads, phi)
     return _read_only(data)
@@ -309,9 +309,8 @@ def sample_centered_half(cov: CovarianceSpec, count: int, seed: int, stream_id: 
     centered in place.  Every chunk is drawn whole, as in the full sample, so
     its rows keep their bits.
     """
+    check_count("count", count, 2)
     half = count // 2
-    if half < 1:
-        raise ValidationError(f"count must be >= 2, got {count}")
     chunks = -(-half // CHUNK_SIZE)  # the chunks holding the first half
     head = sample_gaussian(cov, min(chunks * CHUNK_SIZE, count), seed, stream_id,
                            threads=threads, phi=phi)

@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GridTooWide, InsufficientSamples, ValidationError
+from .errors import GridTooWide, InsufficientSamples, ValidationError, check_count
 from .gaussian_core import THREADS, substream, thread_map
 
 RESAMPLES = 200          # bootstrap resamples for medians and 95% percentile CIs
@@ -286,8 +286,7 @@ def scan_directions(y, n_random: int, seed: int, stream_id: int,
     y = np.asarray(y, dtype=float)
     if y.ndim != 2 or 0 in y.shape:
         raise ValidationError(f"need a 2-D sample with rows and columns, got shape {y.shape}")
-    if n_random < 0:
-        raise ValidationError(f"n_random must be >= 0, got {n_random}")
+    check_count("n_random", n_random, 0)
     rows, n = y.shape
     dirs = direction_set(n, n_random, substream(seed, stream_id, _TAG_SCAN_DIRS))
     # One direction holds its projection and about six resamples x bins arrays

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from subgauss import gaussian_core
@@ -12,7 +13,12 @@ from subgauss.cli_report import (
     run_cli,
 )
 from subgauss.errors import IoError, SchemaError, ValidationError
-from subgauss.experiments import ExperimentReport, ReportRow, report_metadata
+from subgauss.experiments import (
+    ExperimentReport,
+    ReportRow,
+    report_metadata,
+    run_wishart_conditioning,
+)
 
 CX_ARGS = ["counterexample", "--dims", "8,16,64", "--samples", "20000", "--seed", "7"]
 THEOREM_ARGS = ["theorem", "--maps", "sgn,clamp", "--dims", "8,16", "--kappas", "1,4",
@@ -96,6 +102,20 @@ class TestEmitReport:
         report = ExperimentReport("wishart", (), report_metadata("wishart", 1, {}))
         emit_report(report, "csv", tmp_path)
         assert len((tmp_path / "wishart.csv").read_text().splitlines()) == 1
+
+    @pytest.mark.parametrize("format", ("csv", "json"))
+    def test_numpy_dims_are_written_as_python_ints(self, format, tmp_path):
+        # numpy integers are counts too; a report of them reads as one of ints
+        report = run_wishart_conditioning(np.array([16, 32]), trials=100, seed=9)
+        again = run_wishart_conditioning([16, 32], trials=100, seed=9)
+        assert report.metadata == again.metadata
+        emit_report(report, format, tmp_path / "np")
+        emit_report(again, format, tmp_path / "int")
+        doc, doc_int = (json.loads((tmp_path / d / "wishart.json").read_text())
+                        for d in ("np", "int"))
+        for d in (doc, doc_int):
+            del d["run_env"]
+        assert doc == doc_int
 
     def test_json_format_embeds_rows(self, tmp_path):
         (path,) = emit_report(tiny_report(), "json", tmp_path)

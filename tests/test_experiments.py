@@ -26,10 +26,11 @@ from subgauss.experiments import (
 from subgauss.gaussian_core import (
     CovarianceSpec,
     condition_number,
+    sample_centered_half,
     sample_gaussian,
     substream,
 )
-from subgauss.psi2_estimation import direction_set, psi2_scalar
+from subgauss.psi2_estimation import direction_set, psi2_scalar, scan_directions
 
 
 class TestSigmaSqBound:
@@ -164,6 +165,12 @@ class TestTheoremExperiment:
         for row in report.select("sigma_flatness"):
             assert row.value <= 1.25
 
+    def test_metadata_echoes_the_config(self, small_theorem_report):
+        _, report = small_theorem_report
+        assert report.metadata["config"] == {
+            "dims": [8, 16], "kappas": [1.0, 4.0], "map_name": "sgn",
+            "samples_per_cell": 20_000, "directions": 8}
+
     def test_determinism(self, small_theorem_report):
         cfg, report = small_theorem_report
         again = run_theorem_experiment(cfg)
@@ -272,6 +279,11 @@ class TestCorollaryExperiment:
         (row,) = report.select("combined_flatness")
         assert row.bound == 1.3
 
+    def test_metadata_echoes_the_config(self, small_corollary_report):
+        _, report = small_corollary_report
+        assert report.metadata["config"] == {
+            "dims": [8, 16], "w_draws": 20, "samples_per_w": 20_000, "directions": 8}
+
     def test_determinism(self, small_corollary_report):
         cfg, report = small_corollary_report
         again = run_corollary_experiment(cfg)
@@ -342,6 +354,7 @@ class TestCounterexample:
         report = run_counterexample([8, 16, 64], samples=20_000, seed=4)
         (slope_row,) = report.select("loglog_slope")
         assert 0.45 <= slope_row.value <= 0.55
+        assert report.metadata["config"] == {"dims": [8, 16, 64], "samples": 20_000}
 
     def test_span_validation(self):
         with pytest.raises(ValidationError):
@@ -385,10 +398,27 @@ class TestCounterexample:
     lambda: CounterexampleConfig(dims=(8, 16, 64.25), samples=10_000, seed=1),
     lambda: run_wishart_conditioning([8.9, 16], 100, 1),
     lambda: run_counterexample([8.5, 16, 64], 10_000, 1),
+    lambda: TheoremConfig(dims=(16.0,), kappas=(1.0,)),
+    lambda: TheoremConfig(dims=(16,), kappas=(1.0,), samples_per_cell=1e4),
+    lambda: TheoremConfig(dims=(16,), kappas=(1.0,), samples_per_cell=math.nan),
+    lambda: TheoremConfig(dims=(16,), kappas=(1.0,), directions=True),
+    lambda: CorollaryConfig(dims=(32,), w_draws=20.5),
+    lambda: CorollaryConfig(dims=(32,), samples_per_w=1e5),
+    lambda: WishartConfig(dims=(16,), trials=100.5, threshold=100.0, seed=1),
+    lambda: CounterexampleConfig(dims=(8, 16, 64), samples=1e4, seed=1),
+    lambda: run_wishart_conditioning([16.0, 32], 100, 1),
+    lambda: sample_gaussian(CovarianceSpec.identity(4), 1e4, 0, 0),
+    lambda: sample_centered_half(CovarianceSpec.identity(4), 2e4, 0, 0),
+    lambda: scan_directions(np.ones((2000, 3)), 2.5, 0, 0),
 ], ids=["theorem-dims", "theorem-directions", "corollary-dims", "corollary-directions",
-        "wishart-dims", "counterexample-dims", "run_wishart", "run_counterexample"])
+        "wishart-dims", "counterexample-dims", "run_wishart", "run_counterexample",
+        "theorem-float-dims", "theorem-float-samples", "theorem-nan-samples",
+        "theorem-bool-directions", "corollary-w-draws", "corollary-float-samples",
+        "wishart-trials", "counterexample-float-samples", "run_wishart-float-dims",
+        "sample_gaussian", "sample_centered_half", "scan_directions"])
 def test_non_integral_counts_rejected(build):
-    # a study would truncate them and report a run nobody asked for
+    # a float, even a whole one, or a bool is no count: a study would truncate
+    # it, or fail deep inside with a TypeError
     with pytest.raises(ValidationError, match="integer"):
         build()
 
@@ -407,5 +437,6 @@ class TestReportPlumbing:
     def test_metadata_carries_seed_and_version_hash(self):
         report = run_wishart_conditioning([16], trials=100, seed=9)
         assert report.metadata["seed"] == 9
+        assert report.metadata["config"] == {"dims": [16], "trials": 100, "threshold": 100.0}
         assert len(report.metadata["artifact_version"]) == 12
         assert "kappa_exceedance_threshold_note" in report.metadata

@@ -208,7 +208,9 @@ class TestFactorProduct:
         cov = make(n)
         width = cov.sampling_factor.shape[1]
         z = substream(14, "factor-product", n).standard_normal((CHUNK_SIZE, width))
-        np.testing.assert_array_equal(cov.factor_product(z), z @ cov.sampling_factor.T)
+        x = cov.factor_product(z)
+        np.testing.assert_array_equal(x, z @ cov.sampling_factor.T)
+        assert x.flags.c_contiguous  # a gather too: row chunks are scaled, mapped, stored
 
     def test_rank_one_factor_is_one_column(self):
         assert CovarianceSpec.rank_one_ones(64).sampling_factor.shape == (64, 1)

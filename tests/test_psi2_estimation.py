@@ -286,6 +286,20 @@ class TestPsi2Vector:
         ones = np.ones(16) / 4.0
         assert abs(abs(est.argmax_direction @ ones) - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("n", (4, 16))
+    def test_sign_image_needs_no_random_directions(self, n):
+        # on +-(1, ..., 1) a unit v estimates |v.1| / sqrt(ln 2), so by
+        # Cauchy-Schwarz no random direction beats the all-ones one, which
+        # comes first among ties
+        y = np.sign(sample_gaussian(CovarianceSpec.rank_one_ones(n), 10**4, seed=5,
+                                    stream_id=0))
+        none = scan_directions(y, 0, 6, 1)
+        full = scan_directions(y, n, 6, 1)
+        assert (none.value, none.ci_low, none.ci_high) == (full.value, full.ci_low,
+                                                           full.ci_high)
+        np.testing.assert_array_equal(none.argmax_direction, full.argmax_direction)
+        np.testing.assert_array_equal(none.argmax_direction, np.ones(n) / math.sqrt(n))
+
     def test_zero_batch(self):
         est = scan_directions(np.zeros((10**4, 4)), 6, 0, 0)
         assert (est.value, est.ci_low, est.ci_high) == (0.0, 0.0, 0.0)
