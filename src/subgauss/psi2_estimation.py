@@ -21,8 +21,9 @@ Vector norm: maximum of the scalar norm over a declared direction set
 search is a lower bound on the true supremum over the sphere and is reported
 with its direction count.  One entry, `scan_directions`, runs every such
 scan on a rows x n array: it projects the directions in blocks of bounded
-memory, compresses and resamples each projection once for both estimates,
-solves each block's roots together and spreads the blocks over worker threads.
+memory (a block of canonical directions only by copying y's columns),
+compresses and resamples each projection once for both estimates, solves each
+block's roots together and spreads the blocks over worker threads.
 
 Every norm estimate is one `Psi2Estimate`.  With a lambda grid it holds the
 MGF variance proxy sigma `mgf_sigma` fits (a scan's is the largest over its
@@ -48,6 +49,7 @@ NEWTON_TOL = 1e-14       # relative Newton step that ends a root solve; also the
                          # relative margin added to each root
 NEWTON_MAX_ITERS = 50    # a row whose step stalls at rounding level stops here
 SCAN_BLOCK_BYTES = 2**26  # working-set budget of one block of directions in a scan
+PROJECT_TILE = 256       # rows of y per copy when a scan projects canonical directions
 
 _LOG2 = math.log(2.0)
 
@@ -259,6 +261,21 @@ def direction_set(n: int, n_random: int, rng: np.random.Generator) -> np.ndarray
     return np.vstack(rows)
 
 
+def _project(y: np.ndarray, dirs: np.ndarray, block: range) -> np.ndarray:
+    """Rows y @ v for v in dirs[block].  A block of canonical directions only
+    copies y's columns in tiles of PROJECT_TILE rows (a copy of whole strided
+    columns is no faster than the product), which on finite y has the product's
+    bits; any other block is the product dirs[block] @ y.T, rounded as before."""
+    if block.stop > y.shape[1]:
+        # _draw_support rejects what NaN or inf in y project to (errstate is per thread)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return dirs[block.start:block.stop] @ y.T
+    proj = np.empty((len(block), len(y)))
+    for r in range(0, len(y), PROJECT_TILE):
+        proj[:, r:r + PROJECT_TILE] = y[r:r + PROJECT_TILE, block.start:block.stop].T
+    return proj
+
+
 def scan_directions(y, n_random: int, seed: int, stream_id: int,
                     *, lambda_grid=None, threads: int = THREADS) -> Psi2Estimate:
     """Max bootstrap Orlicz estimate of the projections y @ v over the canonical
@@ -275,13 +292,12 @@ def scan_directions(y, n_random: int, seed: int, stream_id: int,
     representatives shifted by the projection's mean.
 
     Directions go in fixed blocks whose working set fits SCAN_BLOCK_BYTES, so
-    the full rows x directions projection is never built.  A block is
-    projected as block @ y.T, which BLAS reads in place: y is never copied,
-    not even when it is a column slice of a wider array.  Blocks run on
-    `threads` workers and are reduced in direction order, the first maximum
-    winning ties: the result is the same for any thread count.  (A block's
-    product can round its last bits differently when its width changes, which
-    only the last block of a smaller budget sees.)
+    the full rows x directions projection is never built; `_project` projects
+    each block, reading y in place even when it is a column slice of a wider
+    array.  Blocks run on `threads` workers and are reduced in direction
+    order, the first maximum winning ties: the result is the same for any
+    thread count.  (A block's product can round its last bits differently when
+    its width changes, which only the last block of a smaller budget sees.)
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2 or 0 in y.shape:
@@ -295,9 +311,7 @@ def scan_directions(y, n_random: int, seed: int, stream_id: int,
     blocks = [range(lo, min(lo + size, len(dirs))) for lo in range(0, len(dirs), size)]
 
     def work(block):
-        # _draw_support rejects what NaN or inf in y project to (errstate is per thread)
-        with np.errstate(invalid="ignore", over="ignore"):
-            proj = dirs[block.start:block.stop] @ y.T
+        proj = _project(y, dirs, block)
         supports = [_draw_support(x, substream(seed, stream_id, _TAG_SCAN_BOOT, d))
                     for x, d in zip(proj, block)]
         estimates = _orlicz_estimate(supports, rows)

@@ -10,10 +10,13 @@ from subgauss.errors import GridTooWide, InsufficientSamples, ValidationError
 from subgauss.gaussian_core import CovarianceSpec, sample_gaussian, substream
 from subgauss.psi2_estimation import (
     BINS,
+    PROJECT_TILE,
+    RESAMPLES,
     _compress,
     _draw_support,
     _orlicz_estimate,
     _orlicz_roots,
+    _project,
     _resample_counts,
     direction_set,
     psi2_scalar,
@@ -321,7 +324,8 @@ class TestPsi2Vector:
 
     @pytest.mark.parametrize("side", ("left", "right"))
     def test_column_slice_scans_as_its_copy(self, side):
-        # a block of a wider array is projected in place, with no copy
+        # a block of a wider array is read in place: its canonical directions
+        # are copied out of the view, the others multiplied by it
         x = sample_gaussian(CovarianceSpec.identity(12), 2 * 10**4, seed=3, stream_id=0)
         y = np.sign(x @ substream(3, "vec-slice").standard_normal((12, 12)).T)
         block = y[:, :5] if side == "left" else y[:, 5:]
@@ -354,6 +358,53 @@ class TestPsi2Vector:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValidationError, match="n_random"):
             scan_directions(np.ones((2000, 3)), -1, 0, 0)
+
+
+class TestProject:
+    """A block of canonical directions is copied out of y, every other block is
+    the product: on finite data each block has the product's bits."""
+
+    @pytest.mark.parametrize("n", (5, 16, 64))
+    @pytest.mark.parametrize("rows", (255, 4097))
+    @pytest.mark.parametrize("kind", ("clamp", "sign"))
+    def test_every_block_is_the_product(self, n, rows, kind):
+        assert rows < PROJECT_TILE or rows % PROJECT_TILE
+        x = substream(n, "project", rows).standard_normal((rows, n + 3))
+        wide = np.clip(x, -1.5, 1.5) if kind == "clamp" else np.sign(x)
+        dirs = direction_set(n, n, substream(n, "project-dirs"))
+        # n falls inside a block of 3 and of 23 (or below it), on the edge of 1 and n
+        for size in (1, 3, n, 23):
+            blocks = [range(lo, min(lo + size, len(dirs)))
+                      for lo in range(0, len(dirs), size)]
+            for y in (wide[:, :n].copy(), wide[:, :n], wide[:, 3:]):
+                for block in blocks:
+                    assert np.array_equal(_project(y, dirs, block),
+                                          dirs[block.start:block.stop] @ y.T)
+
+    @pytest.fixture
+    def three_per_block(self, monkeypatch):
+        """Scans of 2000 rows project three directions per block: n = 8's
+        canonical directions fill two blocks and share a third with all-ones."""
+        monkeypatch.setattr(psi2_estimation, "SCAN_BLOCK_BYTES",
+                            3 * 8 * (2000 + 6 * RESAMPLES * BINS))
+
+    def test_thread_count_invariance(self, three_per_block):
+        y = np.clip(substream(15, "project-threads").standard_normal((2000, 8)), -1.5, 1.5)
+        one = scan_directions(y, 8, 5, 0, lambda_grid=[0.25, 0.5, 1.0], threads=1)
+        three = scan_directions(y, 8, 5, 0, lambda_grid=[0.25, 0.5, 1.0], threads=3)
+        assert (one.value, one.ci_low, one.ci_high, one.mgf_sigma_max) == (
+            three.value, three.ci_low, three.ci_high, three.mgf_sigma_max)
+        np.testing.assert_array_equal(one.argmax_direction, three.argmax_direction)
+
+    @pytest.mark.parametrize("column", (4, 7))  # a copied block, the mixed block
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_outside_the_first_block_rejected(self, three_per_block,
+                                                         column, bad):
+        # the pytest config turns a RuntimeWarning into an error
+        y = np.ones((2000, 8))
+        y[11, column] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            scan_directions(y, 2, 0, 0, threads=2)
 
 
 class TestSharedDraw:
