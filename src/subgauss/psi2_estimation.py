@@ -22,8 +22,9 @@ search is a lower bound on the true supremum over the sphere and is reported
 with its direction count.  One entry, `scan_directions`, runs every such
 scan on a rows x n array: it projects the directions in blocks of bounded
 memory (a block of canonical directions only by copying y's columns),
-compresses and resamples each projection once for both estimates, solves each
-block's roots together and spreads the blocks over worker threads.
+compresses and resamples each projection once for both estimates, solves a
+block's roots in cache-sized groups of directions and spreads the blocks over
+worker threads.
 
 Every norm estimate is one `Psi2Estimate`.  With a lambda grid it holds the
 MGF variance proxy sigma `mgf_sigma` fits (a scan's is the largest over its
@@ -49,6 +50,7 @@ NEWTON_TOL = 1e-14       # relative Newton step that ends a root solve; also the
                          # relative margin added to each root
 NEWTON_MAX_ITERS = 50    # a row whose step stalls at rounding level stops here
 SCAN_BLOCK_BYTES = 2**26  # working-set budget of one block of directions in a scan
+ROOT_GROUP_CELLS = 2**16  # padded support points x supports x RESAMPLES per root solve
 PROJECT_TILE = 256       # rows of y per copy when a scan projects canonical directions
 
 _LOG2 = math.log(2.0)
@@ -181,23 +183,31 @@ def _draw_support(x: np.ndarray, rng: np.random.Generator):
 
 def _orlicz_estimate(supports, n: int) -> np.ndarray:
     """(median root, ci_low, ci_high) of the bootstrap-median Orlicz criterion,
-    one row per drawn support of an n-point sample, with the roots of every
-    support solved together.  A None support (a zero sample) gives zeros.
+    one row per support of an n-point sample, a None support (a zero sample)
+    giving zeros.  Drawn supports are solved in consecutive groups of at most
+    ROOT_GROUP_CELLS padded cells (a wider one alone), which fit in cache; a
+    support's roots do not depend on its group.
     """
-    out = np.zeros((len(supports), 3))
+    roots = np.zeros((len(supports), RESAMPLES))
     rows = [i for i, support in enumerate(supports) if support is not None]
-    if not rows:
-        return out
-    width = max(len(supports[i][1]) for i in rows)
-    reps_sq = np.zeros((width, len(rows)))
-    weights = np.zeros((width, len(rows), RESAMPLES))
-    for j, i in enumerate(rows):
-        _, squares, counts = supports[i]
-        reps_sq[:len(squares), j] = squares
-        weights[:len(squares), j] = counts.T
-    roots = _orlicz_roots(reps_sq, weights, n)
-    out[rows, 0] = np.median(roots, axis=-1)
-    out[rows, 1:] = np.percentile(roots, [2.5, 97.5], axis=-1).T
+    while rows:
+        width, size = len(supports[rows[0]][1]), 1
+        for i in rows[1:]:
+            wider = max(width, len(supports[i][1]))
+            if wider * (size + 1) * RESAMPLES > ROOT_GROUP_CELLS:
+                break
+            width, size = wider, size + 1
+        group, rows = rows[:size], rows[size:]
+        reps_sq = np.zeros((width, size))
+        weights = np.zeros((width, size, RESAMPLES))
+        for j, i in enumerate(group):
+            _, squares, counts = supports[i]
+            reps_sq[:len(squares), j] = squares
+            weights[:len(squares), j] = counts.T
+        roots[group] = _orlicz_roots(reps_sq, weights, n)
+    out = np.empty((len(supports), 3))
+    out[:, 0] = np.median(roots, axis=-1)
+    out[:, 1:] = np.percentile(roots, [2.5, 97.5], axis=-1).T
     return out
 
 
@@ -305,8 +315,9 @@ def scan_directions(y, n_random: int, seed: int, stream_id: int,
     check_count("n_random", n_random, 0)
     rows, n = y.shape
     dirs = direction_set(n, n_random, substream(seed, stream_id, _TAG_SCAN_DIRS))
-    # One direction holds its projection and about six resamples x bins arrays
-    # in the root solve.
+    # Only the projection is bounded by this size; the 6 * RESAMPLES * BINS
+    # term stays because the block boundaries fix the bits of the dense
+    # product of the block that spans the canonical/all-ones edge.
     size = max(1, SCAN_BLOCK_BYTES // (8 * (rows + 6 * RESAMPLES * BINS)))
     blocks = [range(lo, min(lo + size, len(dirs))) for lo in range(0, len(dirs), size)]
 

@@ -63,9 +63,7 @@ def estimates(law, seeds):
     for seed in seeds:
         x = draw(substream(seed, "calibration", law))
         supports.append(_draw_support(x, substream(seed, "calibration-boot", law)))
-    # solved 20 at a time, which bounds the root solve's working set
-    return np.concatenate([_orlicz_estimate(supports[i:i + 20], SAMPLES)
-                           for i in range(0, len(supports), 20)])
+    return _orlicz_estimate(supports, SAMPLES)
 
 
 class TestOracles:

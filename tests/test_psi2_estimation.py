@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,60 @@ class TestOrliczRoots:
             np.testing.assert_array_equal(together[i], alone[0])
 
 
+class TestRootGroups:
+    """A block's supports are solved in groups of at most ROOT_GROUP_CELLS
+    padded cells; no estimate depends on where the groups end."""
+
+    def supports(self):
+        rng = substream(35, "groups")
+        samples = [np.sign(rng.standard_normal(5000)),              # two points
+                   rng.integers(-20, 21, 5000).astype(float),        # 41 exact values
+                   np.zeros(5000),                                   # None
+                   rng.uniform(-2.0, 2.0, 5000),                     # 256 bins
+                   np.clip(rng.uniform(-1.5, 1.5, 5000), -1.0, 1.0), # 256 bins
+                   np.sign(rng.standard_normal(5000)),
+                   rng.integers(0, 3, 5000) - 0.5]                   # 3 exact values
+        supports = [_draw_support(x, substream(36, i)) for i, x in enumerate(samples)]
+        assert [None if s is None else len(s[1]) for s in supports] == [
+            2, 41, None, BINS, BINS, 2, 3]
+        return supports
+
+    def solves(self, monkeypatch, supports):
+        calls = []
+
+        def counted(reps_sq, weights, n):
+            calls.append(reps_sq.shape[1])
+            return _orlicz_roots(reps_sq, weights, n)
+
+        monkeypatch.setattr(psi2_estimation, "_orlicz_roots", counted)
+        return _orlicz_estimate(supports, 5000), calls
+
+    def test_estimates_do_not_depend_on_the_groups(self, monkeypatch):
+        supports = self.supports()
+        default, calls = self.solves(monkeypatch, supports)
+        # the default budget ends groups inside the list: a 256-bin support
+        # solves alone, and the narrow ones around them share a solve
+        assert calls == [2, 1, 1, 2]
+        for budget, groups in ((1, [1] * 6), (2**40, [6])):
+            monkeypatch.setattr(psi2_estimation, "ROOT_GROUP_CELLS", budget)
+            estimates, calls = self.solves(monkeypatch, supports)
+            assert calls == groups
+            assert np.array_equal(estimates, default)
+
+    @pytest.mark.parametrize("threads", (1, 3))
+    def test_scan_does_not_depend_on_the_groups(self, monkeypatch, threads):
+        # two blocks: the first's two-point canonical and few-point all-ones
+        # directions share a default group, its random ones solve alone
+        y = np.sign(substream(16, "groups-scan").standard_normal((2 * 10**4, 8)))
+        grid = [0.25, 0.5, 1.0]
+        default = scan_directions(y, 24, 5, 0, lambda_grid=grid, threads=1)
+        monkeypatch.setattr(psi2_estimation, "ROOT_GROUP_CELLS", 1)
+        alone = scan_directions(y, 24, 5, 0, lambda_grid=grid, threads=threads)
+        assert (alone.value, alone.ci_low, alone.ci_high, alone.mgf_sigma_max) == (
+            default.value, default.ci_low, default.ci_high, default.mgf_sigma_max)
+        np.testing.assert_array_equal(alone.argmax_direction, default.argmax_direction)
+
+
 class TestMgfSigma:
     def test_gaussian_sigma_near_one(self):
         x = substream(1, "mgf-gauss").standard_normal(10**6)
@@ -335,6 +390,20 @@ class TestPsi2Vector:
         assert (view.value, view.ci_low, view.ci_high, view.mgf_sigma_max) == (
             copy.value, copy.ci_low, copy.ci_high, copy.mgf_sigma_max)
         np.testing.assert_array_equal(view.argmax_direction, copy.argmax_direction)
+
+    def test_peak_memory_is_about_one_block_projection(self):
+        # the root solve runs in cache-sized groups, so a block's working set is
+        # its projection and its supports, not six arrays of its resamples x bins
+        rows, n = 5 * 10**4, 64
+        y = np.clip(substream(17, "vec-memory").standard_normal((rows, n)), -1.0, 1.0)
+        size = psi2_estimation.SCAN_BLOCK_BYTES // (8 * (rows + 6 * RESAMPLES * BINS))
+        tracemalloc.start()  # it sees numpy's buffers
+        try:
+            scan_directions(y, 64, 1, 0, lambda_grid=[0.25, 0.5, 1.0], threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * size * rows * 8
 
     def test_deterministic_given_seed(self):
         y = np.where(substream(13, "vec-det").random((10**4, 4)) < 0.5, -1.0, 1.0)
