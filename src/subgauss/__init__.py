@@ -7,7 +7,6 @@ from .errors import (
     GridTooWide,
     InsufficientSamples,
     IoError,
-    QuadratureNonConvergence,
     SchemaError,
     SingularCovariance,
     SubgaussError,
@@ -15,10 +14,8 @@ from .errors import (
 )
 from .gaussian_core import (
     CovarianceSpec,
-    CovarianceSplit,
     condition_number,
     sample_gaussian,
-    split_covariance,
 )
 from .nonlinearity import (
     BoundedMap,
@@ -35,14 +32,12 @@ __all__ = [
     "BoundViolation",
     "BoundedMap",
     "CovarianceSpec",
-    "CovarianceSplit",
     "DimensionTooSmall",
     "DomainError",
     "GridTooWide",
     "InsufficientSamples",
     "IoError",
     "Psi2Estimate",
-    "QuadratureNonConvergence",
     "SchemaError",
     "SingularCovariance",
     "SubgaussError",
@@ -51,6 +46,5 @@ __all__ = [
     "get_map",
     "psi2_scalar",
     "sample_gaussian",
-    "split_covariance",
     "__version__",
 ]

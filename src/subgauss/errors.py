@@ -11,10 +11,6 @@ class SingularCovariance(SubgaussError):
     """Covariance matrix is singular (or numerically indistinguishable from it)."""
 
 
-class QuadratureNonConvergence(SubgaussError):
-    """Adaptive quadrature exhausted its budget without meeting tolerance."""
-
-
 class BoundViolation(SubgaussError):
     """A certified analytic bound was exceeded beyond numerical tolerance."""
 

@@ -163,9 +163,9 @@ class CorollaryConfig:
 @dataclass(frozen=True)
 class WishartConfig:
     dims: tuple
-    trials: int
-    threshold: float
-    seed: int
+    trials: int = 1000
+    threshold: float = EXCEEDANCE_THRESHOLD
+    seed: int = 42
 
     def __post_init__(self):
         _check_dims(self.dims, 2)  # the half block needs a row
@@ -177,8 +177,8 @@ class WishartConfig:
 @dataclass(frozen=True)
 class CounterexampleConfig:
     dims: tuple
-    samples: int
-    seed: int
+    samples: int = 100_000
+    seed: int = 42
 
     def __post_init__(self):
         _check_dims(self.dims, 1)
@@ -337,12 +337,10 @@ def run_corollary_experiment(cfg: CorollaryConfig, *, threads: int = THREADS) ->
                             report_metadata("corollary", cfg.seed, config_echo(cfg)))
 
 
-def run_wishart_conditioning(n_list, trials: int, seed: int, *,
-                             threshold: float = EXCEEDANCE_THRESHOLD) -> ExperimentReport:
+def run_wishart_conditioning(cfg: WishartConfig) -> ExperimentReport:
     """Distribution of kappa(W1 W1^T) for the half-height block of a square
     Gaussian matrix: median, 5th/95th percentiles, and the exceedance rate of
     a configurable threshold as the proxy for the ill-conditioned event."""
-    cfg = WishartConfig(tuple(n_list), trials, threshold, seed)  # checks the preconditions
     rows = []
     center = 0.5 * (KAPPA_WINDOW[0] + KAPPA_WINDOW[1])
     halfwidth = 0.5 * (KAPPA_WINDOW[1] - KAPPA_WINDOW[0])
@@ -368,8 +366,7 @@ def run_wishart_conditioning(n_list, trials: int, seed: int, *,
                             report_metadata("wishart", cfg.seed, config_echo(cfg)))
 
 
-def run_counterexample(n_list, samples: int, seed: int, *,
-                       threads: int = THREADS) -> ExperimentReport:
+def run_counterexample(cfg: CounterexampleConfig, *, threads: int = THREADS) -> ExperimentReport:
     """Rank-one all-ones covariance: the norm of sgn(X) grows like sqrt(n).
 
     The image is +-(1, ..., 1), so a unit direction v's estimate is exactly
@@ -377,7 +374,6 @@ def run_counterexample(n_list, samples: int, seed: int, *,
     scan takes the canonical and all-ones directions alone, with no random
     ones.  The report carries the fitted log-log slope.
     """
-    cfg = CounterexampleConfig(tuple(n_list), samples, seed)  # checks the preconditions
     eff_seed = subseed(cfg.seed, "counterexample")
     rows = []
     values = []

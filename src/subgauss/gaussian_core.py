@@ -1,10 +1,10 @@
-"""Covariance specs, spectral splitting, and reproducible multivariate Gaussian sampling.
+"""Covariance specs and reproducible multivariate Gaussian sampling.
 
 Sampling uses the spectral factor Q * sqrt(Lambda) on the range, one normal
-per nonzero eigenvalue, so singular covariances (rank-one all-ones, the
-residual of a split) are handled uniformly where Cholesky would fail.  A factor
-with one nonzero per row (identity, diagonal, rank-one) is applied as a column
-gather, bit-identical to the dense product.  Draws come in fixed-size chunks,
+per nonzero eigenvalue, so singular covariances such as the rank-one all-ones
+one are handled uniformly where Cholesky would fail.  A factor with one
+nonzero per row (identity, diagonal, rank-one) is applied as a column gather,
+bit-identical to the dense product.  Draws come in fixed-size chunks,
 each from its own counter-based substream, so results are bit-identical for any
 worker count.  A map given to the sampler is applied to each chunk as it is
 drawn, so a study that needs only the image phi(X) never holds X whole.
@@ -60,12 +60,6 @@ def subseed(seed, *key) -> int:
     """Derived 64-bit integer seed, for APIs that take a plain seed."""
     entropy = [_key_part(seed)] + [_key_part(k) for k in key]
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -136,7 +130,7 @@ class CovarianceSpec:
         return cls._build(sym, w, q)
 
     @classmethod
-    def from_factors(cls, eigenvectors, eigenvalues, matrix=None) -> "CovarianceSpec":
+    def from_factors(cls, eigenvectors, eigenvalues) -> "CovarianceSpec":
         """Construct from a known decomposition, skipping the eigensolver."""
         q = np.array(eigenvectors, dtype=float)
         w = np.array(eigenvalues, dtype=float)
@@ -145,10 +139,8 @@ class CovarianceSpec:
             raise ValidationError(f"eigenvector orthogonality defect {ortho:.3e}")
         order = np.argsort(w)[::-1]
         w, q = w[order], q[:, order]
-        if matrix is None:
-            m = (q * w) @ q.T
-            matrix = (m + m.T) / 2.0
-        return cls._build(np.asarray(matrix, dtype=float), w, q)
+        m = (q * w) @ q.T
+        return cls._build((m + m.T) / 2.0, w, q)
 
     @classmethod
     def _build(cls, sym, w, q) -> "CovarianceSpec":
@@ -159,20 +151,15 @@ class CovarianceSpec:
         resid = float(np.max(np.abs(sym - (q * w) @ q.T)))
         if resid > DECOMP_TOL:
             raise ValidationError(f"decomposition residual {resid:.3e} exceeds {DECOMP_TOL:.0e}")
-        return cls(dim=sym.shape[0], matrix=_frozen(sym), eigenvalues=_frozen(w),
-                   eigenvectors=_frozen(q))
+        # every caller passes arrays of its own, so none is copied
+        return cls(dim=sym.shape[0], matrix=_read_only(sym), eigenvalues=_read_only(w),
+                   eigenvectors=_read_only(q))
 
     # Common constructors ---------------------------------------------------
 
     @classmethod
     def identity(cls, n: int) -> "CovarianceSpec":
-        return cls.from_factors(np.eye(n), np.ones(n), matrix=np.eye(n))
-
-    @classmethod
-    def diagonal(cls, values) -> "CovarianceSpec":
-        v = np.asarray(values, dtype=float)
-        order = np.argsort(v)[::-1]
-        return cls.from_factors(np.eye(len(v))[:, order], v[order], matrix=np.diag(v))
+        return cls.from_factors(np.eye(n), np.ones(n))
 
     @classmethod
     def rank_one_ones(cls, n: int) -> "CovarianceSpec":
@@ -202,7 +189,7 @@ class CovarianceSpec:
         # n x rank: eigenvalues at or below the singularity threshold count as
         # exact zeros, so singular covariances produce exactly degenerate samples.
         keep = self.eigenvalues > SINGULARITY_REL * self.lambda_max
-        return _frozen(self.eigenvectors[:, keep] * np.sqrt(self.eigenvalues[keep]))
+        return _read_only(self.eigenvectors[:, keep] * np.sqrt(self.eigenvalues[keep]))
 
     @cached_property
     def factor_product(self):
@@ -224,14 +211,6 @@ class CovarianceSpec:
         return lambda z: z @ f.T
 
 
-@dataclass(frozen=True)
-class CovarianceSplit:
-    """Decomposition Sigma = a*I + residual with a = lambda_min(Sigma)."""
-
-    a: float
-    residual: CovarianceSpec
-
-
 def condition_number(cov: CovarianceSpec) -> float:
     """Ratio of the extreme eigenvalues, lambda_max / lambda_min."""
     if cov.is_singular:
@@ -239,23 +218,6 @@ def condition_number(cov: CovarianceSpec) -> float:
             f"lambda_min={cov.lambda_min:.3e} at or below threshold "
             f"{SINGULARITY_REL:.0e} * lambda_max={cov.lambda_max:.3e}")
     return cov.lambda_max / cov.lambda_min
-
-
-def split_covariance(cov: CovarianceSpec) -> CovarianceSplit:
-    """Split Sigma into a*I + Sigma_G with a = lambda_min.
-
-    Requires a nonsingular input: a = 0 would leave no isotropic part.
-    """
-    if cov.is_singular:
-        raise SingularCovariance("cannot split a singular covariance (a would be 0)")
-    a = cov.lambda_min
-    residual = CovarianceSpec.from_factors(
-        cov.eigenvectors, np.clip(cov.eigenvalues - a, 0.0, None),
-        matrix=cov.matrix - a * np.eye(cov.dim))
-    recon = float(np.max(np.abs(a * np.eye(cov.dim) + residual.matrix - cov.matrix)))
-    if recon > PSD_TOL:
-        raise ValidationError(f"split reconstruction residual {recon:.3e}")
-    return CovarianceSplit(a=a, residual=residual)
 
 
 def _fill_chunks(out: np.ndarray, seed, stream_id, cov, threads: int, phi=None,

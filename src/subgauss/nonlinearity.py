@@ -1,10 +1,7 @@
-"""Coordinate-wise bounded maps and their Gaussian-smoothed means.
+"""Coordinate-wise bounded maps, by registry name.
 
-The selftest checks the smoothed mean mu(x) = E phi(sqrt(a) Z + x) of sgn
-against its erf closed form.  Plain Gauss-Hermite quadrature converges poorly
-across jumps, so the numerical path splits the real line at declared
-breakpoints and integrates adaptive Gauss-Kronrod panels against the explicit
-Gaussian density.
+A map is checked once, when it is built, to stay within |phi| <= 1 on a
+probe grid that also lies on both sides of each declared jump.
 """
 
 from __future__ import annotations
@@ -15,19 +12,15 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BoundViolation, QuadratureNonConvergence, ValidationError
-
-QUAD_ABS_TOL = 1e-10      # requested quadrature tolerance
-QUAD_ACCEPT_TOL = 1e-8    # reported abserr above this is a failure
-TAIL_SIGMAS = 10.0        # integration window half-width in units of sqrt(a)
+from .errors import BoundViolation, ValidationError
 
 
 @dataclass(frozen=True)
 class BoundedMap:
     """A coordinate-wise map phi with |phi| <= 1.
 
-    Discontinuity locations must be declared in `breakpoints`; detection is
-    unreliable, declaration is testable.
+    `breakpoints` declares the map's jumps.  They only place the |phi| <= 1
+    probe on both sides of each jump, where a grid could step over a spike.
     """
 
     name: str
@@ -46,34 +39,6 @@ class BoundedMap:
 
     def __call__(self, x):
         return self.func(np.asarray(x, dtype=float))
-
-
-def smoothed_mean_quadrature(bmap: BoundedMap, a: float, x: float) -> float:
-    """Numerical E phi(sqrt(a) Z + x), breakpoint-split adaptive quadrature."""
-    from scipy.integrate import quad  # here, so importing the package does not load it
-
-    if a <= 0:
-        raise ValidationError(f"smoothing variance must be positive, got {a}")
-    half = TAIL_SIGMAS * math.sqrt(a)
-    lo, hi = x - half, x + half
-    pts = sorted(b for b in bmap.breakpoints if lo < b < hi)
-    norm = 1.0 / math.sqrt(2.0 * math.pi * a)
-
-    def integrand(u):
-        return float(bmap.func(u)) * norm * math.exp(-(u - x) ** 2 / (2.0 * a))
-
-    result = quad(integrand, lo, hi, points=pts or None,
-                  epsabs=QUAD_ABS_TOL, epsrel=QUAD_ABS_TOL, limit=500, full_output=1)
-    value, abserr = result[0], result[1]
-    # QUADPACK may warn (e.g. roundoff detection) while still meeting the
-    # acceptance tolerance; only the achieved error estimate matters here.
-    if not math.isfinite(value) or abserr > QUAD_ACCEPT_TOL:
-        message = result[3] if len(result) > 3 else ""
-        raise QuadratureNonConvergence(
-            f"smoothed mean of {bmap.name}: abserr {abserr:.3e} above "
-            f"{QUAD_ACCEPT_TOL:.0e} {message}".rstrip())
-    # |mu| <= 1 by construction; trim quadrature overshoot.
-    return float(np.clip(value, -1.0, 1.0))
 
 
 # Built-in map registry ------------------------------------------------------

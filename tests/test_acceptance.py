@@ -14,7 +14,9 @@ import pytest
 from subgauss.cli_report import run_cli, run_selftest
 from subgauss.experiments import (
     CorollaryConfig,
+    CounterexampleConfig,
     TheoremConfig,
+    WishartConfig,
     merge_reports,
     run_corollary_experiment,
     run_counterexample,
@@ -105,7 +107,7 @@ def test_criterion_4_corollary_blocks(corollary_run, capsys):
 
 def test_criterion_5_wishart_conditioning(capsys):
     t0 = time.time()
-    report = run_wishart_conditioning([256], trials=1000, seed=SEED)
+    report = run_wishart_conditioning(WishartConfig((256,), trials=1000, seed=SEED))
     elapsed = time.time() - t0
     median = next(r.value for r in report.rows if r.estimator == "kappa_median")
     rate = next(r.value for r in report.rows if r.estimator == "kappa_exceed_rate")
@@ -118,7 +120,7 @@ def test_criterion_5_wishart_conditioning(capsys):
 
 def test_criterion_6_counterexample_growth(capsys):
     t0 = time.time()
-    report = run_counterexample([16, 64, 256], samples=100_000, seed=SEED)
+    report = run_counterexample(CounterexampleConfig((16, 64, 256), samples=100_000, seed=SEED))
     elapsed = time.time() - t0
     slope = next(r.value for r in report.rows if r.estimator == "loglog_slope")
     v16 = next(r.value for r in report.rows

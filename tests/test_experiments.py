@@ -305,24 +305,24 @@ class TestCorollaryExperiment:
 
 class TestWishartConditioning:
     def test_m_one_always_unit_kappa(self):
-        report = run_wishart_conditioning([2], trials=100, seed=0)
+        report = run_wishart_conditioning(WishartConfig((2,), trials=100, seed=0))
         (median_row,) = [r for r in report.rows if r.estimator == "kappa_median"]
         assert median_row.value == pytest.approx(1.0)
 
     def test_exceedance_rate_row(self):
-        report = run_wishart_conditioning([64], trials=200, seed=1)
+        report = run_wishart_conditioning(WishartConfig((64,), trials=200, seed=1))
         (rate_row,) = [r for r in report.rows if r.estimator == "kappa_exceed_rate"]
         assert rate_row.bound == 0.01
         assert 0.0 <= rate_row.value <= 1.0
 
     def test_median_window_row_only_in_asymptotic_regime(self):
-        report = run_wishart_conditioning([16, 64], trials=100, seed=2)
+        report = run_wishart_conditioning(WishartConfig((16, 64), trials=100, seed=2))
         devs = [r for r in report.rows if r.estimator == "kappa_median_dev"]
         assert [r.n for r in devs] == [64]
 
     def test_trials_validation(self):
         with pytest.raises(ValidationError):
-            run_wishart_conditioning([64], trials=50, seed=0)
+            WishartConfig((64,), trials=50, seed=0)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError, match="trials"):
@@ -331,41 +331,41 @@ class TestWishartConditioning:
         with pytest.raises(ValidationError, match="dims must not be empty"):
             WishartConfig(dims=(), trials=100, threshold=100.0, seed=0)
         with pytest.raises(ValidationError, match="dims must not be empty"):
-            run_wishart_conditioning([], trials=100, seed=1)
+            WishartConfig((), trials=100, seed=1)
         for dims in ((1,), (0, 64), (64, -2)):  # a half block needs two rows
             with pytest.raises(ValidationError, match="dims must be >= 2"):
                 WishartConfig(dims=dims, trials=100, threshold=100.0, seed=0)
         WishartConfig(dims=(2,), trials=100, threshold=100.0, seed=0)
 
     def test_determinism(self):
-        a = run_wishart_conditioning([32], trials=100, seed=3)
-        b = run_wishart_conditioning([32], trials=100, seed=3)
+        a = run_wishart_conditioning(WishartConfig((32,), trials=100, seed=3))
+        b = run_wishart_conditioning(WishartConfig((32,), trials=100, seed=3))
         assert [r.as_dict() for r in a.rows] == [r.as_dict() for r in b.rows]
 
 
 class TestCounterexample:
     def test_values_match_two_point_closed_form(self):
-        report = run_counterexample([8, 16, 64], samples=20_000, seed=4)
+        report = run_counterexample(CounterexampleConfig((8, 16, 64), samples=20_000, seed=4))
         for row in report.select("orlicz"):
             assert row.value == pytest.approx(
                 math.sqrt(row.n / math.log(2.0)), rel=1e-6)
 
     def test_slope_is_half(self):
-        report = run_counterexample([8, 16, 64], samples=20_000, seed=4)
+        report = run_counterexample(CounterexampleConfig((8, 16, 64), samples=20_000, seed=4))
         (slope_row,) = report.select("loglog_slope")
         assert 0.45 <= slope_row.value <= 0.55
         assert report.metadata["config"] == {"dims": [8, 16, 64], "samples": 20_000}
 
     def test_span_validation(self):
         with pytest.raises(ValidationError):
-            run_counterexample([8, 16], samples=20_000, seed=0)
+            CounterexampleConfig((8, 16), samples=20_000, seed=0)
         with pytest.raises(ValidationError):
-            run_counterexample([8, 16, 32], samples=20_000, seed=0)
+            CounterexampleConfig((8, 16, 32), samples=20_000, seed=0)
         for dims in ((0, 8, 64), (-1, 8, 64), (8, 0, 64)):
             with pytest.raises(ValidationError, match="dims must be >= 1"):
                 CounterexampleConfig(dims=dims, samples=20_000, seed=0)
             with pytest.raises(ValidationError, match="dims must be >= 1"):
-                run_counterexample(list(dims), samples=20_000, seed=0)
+                CounterexampleConfig(dims, samples=20_000)
         CounterexampleConfig(dims=(1, 2, 8), samples=20_000, seed=0)
 
     def test_samples_floor(self):
@@ -373,16 +373,16 @@ class TestCounterexample:
         with pytest.raises(ValidationError, match="samples"):
             CounterexampleConfig(dims=(8, 16, 64), samples=9_999, seed=0)
         with pytest.raises(ValidationError, match="samples"):
-            run_counterexample([8, 16, 64], samples=5_000, seed=0)
+            CounterexampleConfig((8, 16, 64), samples=5_000)
 
     def test_peak_memory_is_about_one_sign_sample(self, monkeypatch):
         # with small scan blocks the sample dominates: the signs are held once,
         # with neither the draws nor a transposed copy beside them
         monkeypatch.setattr(psi2_estimation, "SCAN_BLOCK_BYTES", 2**20)
-        rows, dims = 10**5, [8, 16, 64]
+        rows, dims = 10**5, (8, 16, 64)
         tracemalloc.start()  # it sees numpy's buffers
         try:
-            run_counterexample(dims, rows, 1, threads=1)
+            run_counterexample(CounterexampleConfig(dims, rows, 1), threads=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -396,8 +396,8 @@ class TestCounterexample:
     lambda: CorollaryConfig(dims=(32,), directions=math.nan),
     lambda: WishartConfig(dims=(8.9, 16), trials=100, threshold=100.0, seed=1),
     lambda: CounterexampleConfig(dims=(8, 16, 64.25), samples=10_000, seed=1),
-    lambda: run_wishart_conditioning([8.9, 16], 100, 1),
-    lambda: run_counterexample([8.5, 16, 64], 10_000, 1),
+    lambda: WishartConfig((8.9, 16)),
+    lambda: CounterexampleConfig((8.5, 16, 64)),
     lambda: TheoremConfig(dims=(16.0,), kappas=(1.0,)),
     lambda: TheoremConfig(dims=(16,), kappas=(1.0,), samples_per_cell=1e4),
     lambda: TheoremConfig(dims=(16,), kappas=(1.0,), samples_per_cell=math.nan),
@@ -406,15 +406,16 @@ class TestCounterexample:
     lambda: CorollaryConfig(dims=(32,), samples_per_w=1e5),
     lambda: WishartConfig(dims=(16,), trials=100.5, threshold=100.0, seed=1),
     lambda: CounterexampleConfig(dims=(8, 16, 64), samples=1e4, seed=1),
-    lambda: run_wishart_conditioning([16.0, 32], 100, 1),
+    lambda: WishartConfig((16.0, 32)),
     lambda: sample_gaussian(CovarianceSpec.identity(4), 1e4, 0, 0),
     lambda: sample_centered_half(CovarianceSpec.identity(4), 2e4, 0, 0),
     lambda: scan_directions(np.ones((2000, 3)), 2.5, 0, 0),
 ], ids=["theorem-dims", "theorem-directions", "corollary-dims", "corollary-directions",
-        "wishart-dims", "counterexample-dims", "run_wishart", "run_counterexample",
+        "wishart-dims", "counterexample-dims", "wishart-default-dims",
+        "counterexample-default-dims",
         "theorem-float-dims", "theorem-float-samples", "theorem-nan-samples",
         "theorem-bool-directions", "corollary-w-draws", "corollary-float-samples",
-        "wishart-trials", "counterexample-float-samples", "run_wishart-float-dims",
+        "wishart-trials", "counterexample-float-samples", "wishart-default-float-dims",
         "sample_gaussian", "sample_centered_half", "scan_directions"])
 def test_non_integral_counts_rejected(build):
     # a float, even a whole one, or a bool is no count: a study would truncate
@@ -435,7 +436,7 @@ class TestReportPlumbing:
         assert len(merged.select("mgf_fit:one")) == 1
 
     def test_metadata_carries_seed_and_version_hash(self):
-        report = run_wishart_conditioning([16], trials=100, seed=9)
+        report = run_wishart_conditioning(WishartConfig((16,), trials=100, seed=9))
         assert report.metadata["seed"] == 9
         assert report.metadata["config"] == {"dims": [16], "trials": 100, "threshold": 100.0}
         assert len(report.metadata["artifact_version"]) == 12

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from subgauss.errors import SingularCovariance, ValidationError
 from subgauss.gaussian_core import (
@@ -11,7 +10,6 @@ from subgauss.gaussian_core import (
     condition_number,
     sample_centered_half,
     sample_gaussian,
-    split_covariance,
     substream,
 )
 from subgauss.nonlinearity import get_map
@@ -47,9 +45,10 @@ class TestCovarianceSpec:
         cov = CovarianceSpec.from_matrix(m)
         assert cov.lambda_min >= 0.0
 
-    def test_diagonal_constructor(self):
-        cov = CovarianceSpec.diagonal([1.0, 4.0])
-        np.testing.assert_array_equal(cov.eigenvalues, [4.0, 1.0])
+    @pytest.mark.parametrize("n", (2, 16, 64, 256))
+    def test_identity_matrix_is_exact(self, n):
+        # built from its factors, whose product is a permutation's: exact
+        np.testing.assert_array_equal(CovarianceSpec.identity(n).matrix, np.eye(n))
 
     def test_matrix_is_immutable(self):
         cov = CovarianceSpec.identity(3)
@@ -62,7 +61,8 @@ class TestConditionNumber:
         assert condition_number(CovarianceSpec.identity(3)) == 1.0
 
     def test_diagonal(self):
-        assert condition_number(CovarianceSpec.diagonal([1.0, 4.0])) == pytest.approx(4.0)
+        cov = CovarianceSpec.from_matrix(np.diag([1.0, 4.0]))
+        assert condition_number(cov) == pytest.approx(4.0)
 
     def test_rank_one_singular(self):
         with pytest.raises(SingularCovariance):
@@ -78,34 +78,6 @@ class TestConditionNumber:
         assert abs(k1 - k0) <= 1e-9 * k0
 
 
-class TestSplitCovariance:
-    def test_identity(self):
-        split = split_covariance(CovarianceSpec.identity(4))
-        assert split.a == pytest.approx(1.0)
-        assert np.max(np.abs(split.residual.matrix)) <= 1e-12
-
-    def test_diag_1_4(self):
-        split = split_covariance(CovarianceSpec.diagonal([1.0, 4.0]))
-        assert split.a == pytest.approx(1.0)
-        np.testing.assert_allclose(split.residual.matrix, np.diag([0.0, 3.0]), atol=1e-12)
-
-    def test_wishart_reconstruction(self):
-        # oracle: direct matrix addition must give back the input
-        cov = wishart_spec(8, 8, seed=11)
-        split = split_covariance(cov)
-        recon = split.a * np.eye(8) + split.residual.matrix
-        assert np.max(np.abs(recon - cov.matrix)) <= 1e-10
-
-    def test_residual_psd(self):
-        cov = wishart_spec(8, 8, seed=12)
-        split = split_covariance(cov)
-        assert split.residual.lambda_min >= -1e-10
-
-    def test_singular_rejected(self):
-        with pytest.raises(SingularCovariance):
-            split_covariance(CovarianceSpec.rank_one_ones(3))
-
-
 class TestSampleGaussian:
     def test_identity_empirical_covariance(self):
         # law-of-large-numbers oracle at m = 1e5
@@ -117,6 +89,13 @@ class TestSampleGaussian:
         x = sample_gaussian(CovarianceSpec.rank_one_ones(16), 500, seed=2, stream_id=0)
         spread = x.max(axis=1) - x.min(axis=1)
         assert spread.max() <= 1e-12
+
+    def test_zero_covariance_samples_zeros(self):
+        # a zero covariance has a zero-width sampling factor
+        cov = CovarianceSpec.from_matrix(np.zeros((5, 5)))
+        assert cov.sampling_factor.shape == (5, 0)
+        x = sample_gaussian(cov, 2000, seed=1, stream_id=0)
+        assert np.max(np.abs(x)) == 0.0
 
     def test_determinism(self):
         cov = wishart_spec(4, 8, seed=5)
@@ -201,7 +180,7 @@ class TestFactorProduct:
         (CovarianceSpec.identity, 16), (CovarianceSpec.identity, 256),
         (CovarianceSpec.rank_one_ones, 16), (CovarianceSpec.rank_one_ones, 64),
         (CovarianceSpec.rank_one_ones, 256),
-        (lambda n: CovarianceSpec.diagonal(np.arange(1.0, n + 1.0)), 16),
+        (lambda n: CovarianceSpec.from_matrix(np.diag(np.arange(1.0, n + 1.0))), 16),
         (lambda n: wishart_spec(n, n, seed=13), 16),
     ])
     def test_matches_dense_product(self, make, n):
@@ -227,44 +206,3 @@ class TestSampledArrays:
         x = sample_gaussian(CovarianceSpec.identity(3), 100, seed=1, stream_id=0)
         assert not x.flags.writeable
 
-
-class TestSampleSplitGaussian:
-    def test_identity_residual_is_zero(self):
-        # the residual of an isotropic covariance has a zero-width sampling factor
-        split = split_covariance(CovarianceSpec.identity(5))
-        g = sample_gaussian(split.residual, 2000, seed=1, stream_id=0)
-        assert np.max(np.abs(g)) == 0.0
-
-    # X = sqrt(a) Z + G, with Z ~ N(0, I) and G ~ N(0, Sigma_G) drawn on two
-    # streams, has the law N(0, Sigma) of the covariance that was split
-    @staticmethod
-    def _split_draws(split, count, seed):
-        z = sample_gaussian(CovarianceSpec.identity(split.residual.dim), count,
-                            seed=seed, stream_id=0)
-        g = sample_gaussian(split.residual, count, seed=seed, stream_id=1)
-        return z, g
-
-    def test_combined_covariance(self):
-        split = split_covariance(CovarianceSpec.diagonal([1.0, 4.0]))
-        z, g = self._split_draws(split, 10**5, seed=2)
-        x = np.sqrt(split.a) * z + g
-        emp = x.T @ x / x.shape[0]
-        assert np.max(np.abs(emp - np.diag([1.0, 4.0]))) < 0.1
-
-    def test_same_law_as_direct_sampling(self):
-        # two-sample KS oracle, coordinate-wise
-        cov = wishart_spec(4, 4, seed=7)
-        split = split_covariance(cov)
-        z, g = self._split_draws(split, 10**5, seed=3)
-        x = np.sqrt(split.a) * z + g
-        direct = sample_gaussian(cov, 10**5, seed=4, stream_id=0)
-        for j in range(4):
-            ks = stats.ks_2samp(x[:, j], direct[:, j]).statistic
-            assert ks < 0.02
-
-    def test_z_and_g_independent_streams(self):
-        split = split_covariance(wishart_spec(3, 3, seed=8))
-        z, g = self._split_draws(split, 2000, seed=5)
-        assert not np.array_equal(z, g)
-        corr = np.corrcoef(z[:, 0], g[:, 0])[0, 1]
-        assert abs(corr) < 0.1

@@ -12,8 +12,8 @@ def test_every_exported_name_resolves():
 
 
 def test_cli_import_leaves_quadrature_and_special_functions_unloaded():
-    # the import is every run's set-up time; scipy.integrate and scipy.special
-    # load only when a quadrature first runs
+    # the import is every run's set-up time; no code of the package loads
+    # scipy.integrate or scipy.special at all, so neither may load with it
     code = ("import sys, subgauss.cli_report; "
             "print(sorted({'scipy.integrate', 'scipy.special'} & set(sys.modules)))")
     # the child imports the package from where this process found it
