@@ -396,8 +396,8 @@ class TestCounterexample:
     lambda: CorollaryConfig(dims=(32,), directions=math.nan),
     lambda: WishartConfig(dims=(8.9, 16), trials=100, threshold=100.0, seed=1),
     lambda: CounterexampleConfig(dims=(8, 16, 64.25), samples=10_000, seed=1),
-    lambda: WishartConfig((8.9, 16)),
-    lambda: CounterexampleConfig((8.5, 16, 64)),
+    lambda: run_wishart_conditioning(WishartConfig((8.9, 16))),
+    lambda: run_counterexample(CounterexampleConfig((8.5, 16, 64))),
     lambda: TheoremConfig(dims=(16.0,), kappas=(1.0,)),
     lambda: TheoremConfig(dims=(16,), kappas=(1.0,), samples_per_cell=1e4),
     lambda: TheoremConfig(dims=(16,), kappas=(1.0,), samples_per_cell=math.nan),
@@ -406,16 +406,15 @@ class TestCounterexample:
     lambda: CorollaryConfig(dims=(32,), samples_per_w=1e5),
     lambda: WishartConfig(dims=(16,), trials=100.5, threshold=100.0, seed=1),
     lambda: CounterexampleConfig(dims=(8, 16, 64), samples=1e4, seed=1),
-    lambda: WishartConfig((16.0, 32)),
+    lambda: run_wishart_conditioning(WishartConfig((16.0, 32))),
     lambda: sample_gaussian(CovarianceSpec.identity(4), 1e4, 0, 0),
     lambda: sample_centered_half(CovarianceSpec.identity(4), 2e4, 0, 0),
     lambda: scan_directions(np.ones((2000, 3)), 2.5, 0, 0),
 ], ids=["theorem-dims", "theorem-directions", "corollary-dims", "corollary-directions",
-        "wishart-dims", "counterexample-dims", "wishart-default-dims",
-        "counterexample-default-dims",
+        "wishart-dims", "counterexample-dims", "run_wishart", "run_counterexample",
         "theorem-float-dims", "theorem-float-samples", "theorem-nan-samples",
         "theorem-bool-directions", "corollary-w-draws", "corollary-float-samples",
-        "wishart-trials", "counterexample-float-samples", "wishart-default-float-dims",
+        "wishart-trials", "counterexample-float-samples", "run_wishart-float-dims",
         "sample_gaussian", "sample_centered_half", "scan_directions"])
 def test_non_integral_counts_rejected(build):
     # a float, even a whole one, or a bool is no count: a study would truncate

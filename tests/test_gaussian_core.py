@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from subgauss.errors import SingularCovariance, ValidationError
 from subgauss.gaussian_core import (
@@ -10,6 +11,7 @@ from subgauss.gaussian_core import (
     condition_number,
     sample_centered_half,
     sample_gaussian,
+    subseed,
     substream,
 )
 from subgauss.nonlinearity import get_map
@@ -44,6 +46,50 @@ class TestCovarianceSpec:
         m = np.eye(2) * 1e-12 - 1e-11 * np.ones((2, 2))
         cov = CovarianceSpec.from_matrix(m)
         assert cov.lambda_min >= 0.0
+
+    def test_diagonal_constructor(self):
+        cov = CovarianceSpec.from_matrix(np.diag([1.0, 4.0]))
+        np.testing.assert_array_equal(cov.eigenvalues, [4.0, 1.0])
+        np.testing.assert_array_equal(np.abs(cov.eigenvectors), [[0.0, 1.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("shape", ((3,), (2, 3), (2, 2, 2)))
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValidationError, match="square"):
+            CovarianceSpec.from_matrix(np.zeros(shape))
+
+    def test_from_factors_sorts_eigenvalues(self):
+        t = 0.3
+        q = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        cov = CovarianceSpec.from_factors(q, [1.0, 3.0])
+        np.testing.assert_array_equal(cov.eigenvalues, [3.0, 1.0])
+        np.testing.assert_array_equal(cov.eigenvectors, q[:, ::-1])
+        np.testing.assert_allclose(cov.matrix, (q * [1.0, 3.0]) @ q.T, atol=1e-15)
+
+    def test_from_factors_agrees_with_from_matrix(self):
+        base = wishart_spec(6, 12, seed=4)
+        cov = CovarianceSpec.from_factors(base.eigenvectors, base.eigenvalues)
+        np.testing.assert_allclose(cov.matrix, base.matrix, atol=1e-10)
+        np.testing.assert_array_equal(cov.eigenvalues, base.eigenvalues)
+
+    def test_non_orthogonal_factors_rejected(self):
+        with pytest.raises(ValidationError, match="orthogonality"):
+            CovarianceSpec.from_factors([[1.0, 0.5], [0.0, 1.0]], [1.0, 2.0])
+
+    def test_low_rank_wishart(self):
+        # W W^T of an 8 x 3 W has rank 3: singular, with a 3-column factor
+        cov = CovarianceSpec.wishart_of(substream(5, "low-rank").standard_normal((8, 3)))
+        assert cov.dim == 8
+        assert cov.is_singular
+        assert cov.sampling_factor.shape == (8, 3)
+
+    @pytest.mark.parametrize("make, singular", [
+        (lambda: CovarianceSpec.identity(4), False),
+        (lambda: CovarianceSpec.from_matrix(np.diag([1e-3, 1.0])), False),
+        (lambda: CovarianceSpec.rank_one_ones(4), True),
+        (lambda: CovarianceSpec.from_matrix(np.zeros((3, 3))), True),
+    ], ids=("identity", "diagonal", "rank-one", "zero"))
+    def test_is_singular(self, make, singular):
+        assert make().is_singular is singular
 
     @pytest.mark.parametrize("n", (2, 16, 64, 256))
     def test_identity_matrix_is_exact(self, n):
@@ -96,6 +142,26 @@ class TestSampleGaussian:
         assert cov.sampling_factor.shape == (5, 0)
         x = sample_gaussian(cov, 2000, seed=1, stream_id=0)
         assert np.max(np.abs(x)) == 0.0
+
+    def test_diagonal_empirical_covariance(self):
+        cov = CovarianceSpec.from_matrix(np.diag([1.0, 4.0]))
+        x = sample_gaussian(cov, 10**5, seed=2, stream_id=0)
+        emp = x.T @ x / x.shape[0]
+        assert np.max(np.abs(emp - np.diag([1.0, 4.0]))) < 0.1
+
+    def test_same_law_as_direct_sampling(self):
+        # two-sample KS oracle, coordinate-wise, against numpy's own sampler
+        cov = wishart_spec(4, 4, seed=7)
+        x = sample_gaussian(cov, 10**5, seed=3, stream_id=0)
+        direct = np.random.default_rng(4).multivariate_normal(np.zeros(4), cov.matrix, 10**5)
+        for j in range(4):
+            assert stats.ks_2samp(x[:, j], direct[:, j]).statistic < 0.02
+
+    def test_streams_are_uncorrelated(self):
+        cov = wishart_spec(3, 3, seed=8)
+        a = sample_gaussian(cov, 2000, seed=5, stream_id=0)
+        b = sample_gaussian(cov, 2000, seed=5, stream_id=1)
+        assert abs(np.corrcoef(a[:, 0], b[:, 0])[0, 1]) < 0.1
 
     def test_determinism(self):
         cov = wishart_spec(4, 8, seed=5)
@@ -191,6 +257,18 @@ class TestFactorProduct:
         np.testing.assert_array_equal(x, z @ cov.sampling_factor.T)
         assert x.flags.c_contiguous  # a gather too: row chunks are scaled, mapped, stored
 
+    @pytest.mark.parametrize("make", [
+        lambda: CovarianceSpec.identity(8),
+        lambda: CovarianceSpec.rank_one_ones(8),
+        lambda: CovarianceSpec.from_matrix(np.diag(np.arange(1.0, 9.0))),
+        lambda: wishart_spec(8, 8, seed=11),
+        lambda: CovarianceSpec.from_matrix(np.zeros((8, 8))),
+    ], ids=("identity", "rank-one", "diagonal", "wishart", "zero"))
+    def test_factor_reconstructs_matrix(self, make):
+        cov = make()
+        f = cov.sampling_factor
+        np.testing.assert_allclose(f @ f.T, cov.matrix, atol=1e-10 * max(cov.lambda_max, 1.0))
+
     def test_rank_one_factor_is_one_column(self):
         assert CovarianceSpec.rank_one_ones(64).sampling_factor.shape == (64, 1)
 
@@ -206,3 +284,19 @@ class TestSampledArrays:
         x = sample_gaussian(CovarianceSpec.identity(3), 100, seed=1, stream_id=0)
         assert not x.flags.writeable
 
+
+class TestSubstream:
+    def test_same_key_same_draws(self):
+        np.testing.assert_array_equal(substream(3, "a", 1).standard_normal(8),
+                                      substream(3, "a", 1).standard_normal(8))
+
+    @pytest.mark.parametrize("other", [(4, "a", 1), (3, "b", 1), (3, "a", 2), (3, "a")],
+                             ids=("seed", "label", "index", "shorter"))
+    def test_each_key_part_changes_the_draws(self, other):
+        base = substream(3, "a", 1).standard_normal(8)
+        assert not np.array_equal(base, substream(*other).standard_normal(8))
+
+    def test_subseed_is_stable_and_keyed(self):
+        assert subseed(3, "a") == subseed(3, "a")
+        assert subseed(3, "a") != subseed(3, "b")
+        assert 0 <= subseed(3, "a") < 2**64
