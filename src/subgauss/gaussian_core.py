@@ -7,7 +7,8 @@ nonzero per row (identity, diagonal, rank-one) is applied as a column gather,
 bit-identical to the dense product.  Draws come in fixed-size chunks,
 each from its own counter-based substream, so results are bit-identical for any
 worker count.  A map given to the sampler is applied to each chunk as it is
-drawn, so a study that needs only the image phi(X) never holds X whole.
+drawn, so a study that needs only the image phi(X) never holds X whole,
+and in tiles of the chunk's own rows, so a worker holds no chunk-sized buffer.
 `sample_centered_half` gives the second half of such a sample centered by the
 mean of the first, and frees the first half before it draws the second, so
 only one half is held at a time.  While more than one worker runs, numpy's
@@ -36,6 +37,7 @@ PSD_TOL = 1e-10          # eigenvalues below -PSD_TOL are rejected, above are cl
 SINGULARITY_REL = 1e-12  # lambda_min <= SINGULARITY_REL * lambda_max counts as singular
 
 CHUNK_SIZE = 4096        # fixed chunk size: determinism must not depend on thread count
+SAMPLE_TILE = 256        # rows of a chunk mapped and stored at a time
 # Default worker count: the CPUs this process may run on.
 THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
@@ -85,12 +87,20 @@ def _openblas_threads():
     return None
 
 
+try:  # glibc's malloc_trim(pad); a no-op where the C library has none
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes = [ctypes.c_size_t]
+except (OSError, TypeError, AttributeError):
+    _malloc_trim = lambda pad: 0  # noqa: E731
+
+
 def thread_map(work, jobs, threads: int) -> list:
     """[work(job) for job in jobs], on `threads` worker threads when above 1.
 
     While they run, numpy's OpenBLAS is held at one thread and then restored:
     workers times BLAS threads must not exceed the cores.  That count is
-    process-wide, so calls are made from one thread at a time.
+    process-wide, so calls are made from one thread at a time.  Then the heap
+    the workers freed is returned, where glibc keeps an amount that varies by run.
     """
     if threads <= 1:
         return [work(job) for job in jobs]
@@ -102,6 +112,7 @@ def thread_map(work, jobs, threads: int) -> list:
             return list(pool.map(work, jobs))
     finally:
         set_(previous)
+        _malloc_trim(0)
 
 
 @dataclass(frozen=True)
@@ -202,13 +213,19 @@ class CovarianceSpec:
         all-ones covariance, whose factor is a single column.  np.take gathers a
         row-major chunk; z[:, cols] would give a column-major one, slow to store.
         """
-        f = self.sampling_factor
-        nonzero = f != 0.0
-        if np.all(np.count_nonzero(nonzero, axis=1) == 1):
-            cols = np.argmax(nonzero, axis=1)
-            scale = f[np.arange(self.dim), cols]
-            return lambda z: np.take(z, cols, axis=1) * scale
-        return lambda z: z @ f.T
+        if self.gather is None:
+            return lambda z: z @ self.sampling_factor.T
+        cols, scale = self.gather
+        return lambda z: np.take(z, cols, axis=1) * scale
+
+    @cached_property
+    def gather(self):
+        """(cols, scale) of a sampling factor with one nonzero per row, else None."""
+        nonzero = self.sampling_factor != 0.0
+        if not np.all(np.count_nonzero(nonzero, axis=1) == 1):
+            return None
+        cols = np.argmax(nonzero, axis=1)
+        return cols, self.sampling_factor[np.arange(self.dim), cols]
 
 
 def condition_number(cov: CovarianceSpec) -> float:
@@ -225,19 +242,27 @@ def _fill_chunks(out: np.ndarray, seed, stream_id, cov, threads: int, phi=None,
     """Standard normal chunks z, one column per column of cov's sampling factor,
     stored as x = cov.factor_product(z), or as phi(x) on the worker that drew
     the chunk when phi is given.  out holds the sample's rows from chunk
-    `first` on, to its last."""
+    `first` on, to its last.  z is drawn into the chunk's rows of out when it
+    is as wide as they are, and phi(x) is stored SAMPLE_TILE rows at a time,
+    so a worker holds no chunk-sized buffer but a dense product's x."""
     offset = first * CHUNK_SIZE
     count = offset + out.shape[0]
     width = cov.sampling_factor.shape[1]
 
     def work(chunk_index_lo):
         chunk_index, lo = chunk_index_lo
-        hi = min(lo + CHUNK_SIZE, count)
+        rows = out[lo - offset:min(lo + CHUNK_SIZE, count) - offset]
         # the constant 0 is part of every chunk's key; changing it changes every draw
         rng = substream(seed, stream_id, 0, chunk_index)
-        z = rng.standard_normal((hi - lo, width))
-        x = cov.factor_product(z)
-        out[lo - offset:hi - offset] = x if phi is None else phi(x)
+        z = rows if width == rows.shape[1] else np.empty((len(rows), width))
+        rng.standard_normal(out=z)
+        # A gather's bits do not depend on how many rows it takes, so it goes
+        # a tile at a time; a dense product's can, so it takes the chunk whole.
+        x = None if cov.gather is not None else cov.factor_product(z)
+        for a in range(0, len(rows), SAMPLE_TILE):
+            tile = slice(a, a + SAMPLE_TILE)
+            x_tile = cov.factor_product(z[tile]) if x is None else x[tile]
+            rows[tile] = x_tile if phi is None else phi(x_tile)  # z[tile] is read by now
 
     thread_map(work, list(enumerate(range(offset, count, CHUNK_SIZE), first)), threads)
 

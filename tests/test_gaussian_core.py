@@ -7,7 +7,9 @@ from scipy import stats
 from subgauss.errors import SingularCovariance, ValidationError
 from subgauss.gaussian_core import (
     CHUNK_SIZE,
+    SAMPLE_TILE,
     CovarianceSpec,
+    _malloc_trim,
     condition_number,
     sample_centered_half,
     sample_gaussian,
@@ -211,6 +213,50 @@ class TestMappedSample:
             plain = sample_gaussian(cov, count, 5, 2, threads=threads)
             np.testing.assert_array_equal(mapped, phi(plain))
             assert not mapped.flags.writeable
+
+
+class TestTiledChunks:
+    """A chunk is drawn into the sample and mapped a tile at a time, with the
+    bits of its whole-chunk product and map."""
+
+    @pytest.mark.parametrize("threads", (1, 2))
+    @pytest.mark.parametrize("phi", (None, get_map("clamp")), ids=("plain", "clamp"))
+    @pytest.mark.parametrize("make", [
+        lambda: CovarianceSpec.identity(16),
+        lambda: CovarianceSpec.rank_one_ones(16),
+        lambda: wishart_spec(17, 17, seed=4),   # a dense product of odd width
+        lambda: wishart_spec(17, 5, seed=4),    # dense and narrower than a row
+        lambda: CovarianceSpec.from_matrix(np.zeros((4, 4))),
+    ], ids=("identity", "rank-one", "dense", "low-rank", "zero"))
+    def test_equals_the_whole_chunk_product(self, make, phi, threads):
+        cov = make()
+        count = 2 * CHUNK_SIZE + SAMPLE_TILE + 17  # the last chunk and tile ragged
+        width = cov.sampling_factor.shape[1]
+        chunks = []
+        for c, lo in enumerate(range(0, count, CHUNK_SIZE)):
+            z = substream(6, 3, 0, c).standard_normal((min(CHUNK_SIZE, count - lo), width))
+            x = cov.factor_product(z)
+            chunks.append(x if phi is None else phi(x))
+        y = sample_gaussian(cov, count, 6, 3, threads=threads, phi=phi)
+        assert np.array_equal(y.view(np.uint64), np.concatenate(chunks).view(np.uint64))
+
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_a_gather_holds_no_chunk_buffer(self, threads):
+        import tracemalloc
+
+        cov = CovarianceSpec.identity(256)
+        cov.factor_product  # noqa: B018  (built before the trace)
+        chunk_bytes = CHUNK_SIZE * 256 * 8
+        tracemalloc.start()
+        try:
+            y = sample_gaussian(cov, 4 * CHUNK_SIZE, 1, 0, threads=threads, phi=get_map("clamp"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - y.nbytes < chunk_bytes / 2
+
+    def test_malloc_trim_is_callable(self):
+        assert _malloc_trim(0) in (0, 1)
 
 
 class TestCenteredHalf:
