@@ -31,6 +31,7 @@ import scipy
 from . import __version__
 from .errors import IoError, SchemaError, SubgaussError, ValidationError, check_count
 from .experiments import (
+    DEFAULT_SEED,
     CorollaryConfig,
     CounterexampleConfig,
     ExperimentReport,
@@ -45,8 +46,6 @@ from .experiments import (
 )
 from .gaussian_core import THREADS, substream
 from .psi2_estimation import psi2_scalar
-
-DEFAULT_SEED = 42
 
 # The parameters of each study: key -> (kind, default).  A kind is "int",
 # "num" (an int or a float), "str" or a list of one of these ("[int]"); it alone
@@ -352,7 +351,8 @@ def build_parser() -> _Parser:
         if command == "selftest":
             continue
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="master seed (default: SUBGAUSS_SEED or 42)")
+        p.add_argument("--seed", type=int,
+                       help=f"master seed (default: SUBGAUSS_SEED or {DEFAULT_SEED})")
         p.add_argument("--out", help="output directory")
         p.add_argument("--format", choices=("csv", "json"))
         p.add_argument("--force", action="store_true", help="overwrite existing output files")

@@ -46,6 +46,7 @@ KAPPA_WINDOW = (20.0, 50.0)      # asymptotic-regime window for median kappa of 
 EXCEEDANCE_THRESHOLD = 100.0     # reporting proxy for the ill-conditioned event
 EXCEEDANCE_RATE_BOUND = 0.01
 SLOPE_WINDOW_HALFWIDTH = 0.05    # accepted deviation of the log-log slope from 1/2
+DEFAULT_SEED = 42                # master seed of every study config and the CLI
 
 
 # Report structures ----------------------------------------------------------
@@ -132,7 +133,7 @@ class TheoremConfig:
     map_name: str = "sgn"
     samples_per_cell: int = 100_000
     directions: int = 64
-    seed: int = 42
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         _check_dims(self.dims, 2)
@@ -151,7 +152,7 @@ class CorollaryConfig:
     w_draws: int = 50
     samples_per_w: int = 100_000
     directions: int = 32
-    seed: int = 42
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         _check_dims(self.dims, 2)
@@ -165,7 +166,7 @@ class WishartConfig:
     dims: tuple
     trials: int = 1000
     threshold: float = EXCEEDANCE_THRESHOLD
-    seed: int = 42
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         _check_dims(self.dims, 2)  # the half block needs a row
@@ -178,7 +179,7 @@ class WishartConfig:
 class CounterexampleConfig:
     dims: tuple
     samples: int = 100_000
-    seed: int = 42
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         _check_dims(self.dims, 1)

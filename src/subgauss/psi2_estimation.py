@@ -3,18 +3,26 @@
 Scalar norm: the Orlicz form inf{t > 0 : E exp(X^2/t^2) <= 2}.  The raw
 empirical-mean criterion has heavy sample variance near the true root, so the
 estimator solves the bootstrap-median criterion instead: it solves the
-criterion for each of 200 multinomial resamples and reports the median root,
-with a percentile interval from the same roots.  The roots come from one
-vectorized, safeguarded Newton solve on the log criterion in u = 1/t^2; each
-returned t is on the conservative side, where the criterion is at most 2.
+criterion for each of 200 resamples and reports the median root, with a
+percentile interval from the same roots.  The roots come from one vectorized,
+safeguarded Newton solve on the log criterion in u = 1/t^2; each returned t
+is on the conservative side, where the criterion is at most 2.
+
+The bootstrap resamples row-blocks (Kleiner, Talwalkar, Sarkar & Jordan
+2014): the rows split into B = min(BOOT_BLOCKS, rows) contiguous blocks, and
+one RESAMPLES x B multinomial draw M of B blocks weights every sample of those
+rows, as the shared multipliers of Chernozhukov, Chetverikov & Kato (2013)
+do.  Block sizes differ by at most one row, so each criterion is a mean over
+its resample's own total.
 
 Every estimate compresses its sample once, at one resolution: exact value
 counts when it has at most BINS distinct values (sign data is the common case
 here), otherwise BINS uniform bins with each bin's mean of x and of x^2.  It
-is then resampled once, as one matrix of multinomial counts.  The Orlicz
-criterion reads the mean squares and the MGF band the representatives, both
-under the same weights.  The binning error is quadratic in the bin width and
-below the bootstrap noise: 4096 bins gave the coverage of 256.
+counts them per row-block as a B x K matrix C, and its R x K resample weights
+are M @ C.  The Orlicz criterion reads the mean squares and the MGF band the
+representatives, both under the same weights.  The binning error is
+quadratic in the bin width and below the bootstrap noise: 4096 bins gave the
+coverage of 256.
 
 Vector norm: maximum of the scalar norm over a declared direction set
 (canonical basis + normalized all-ones + seeded random unit vectors).  The
@@ -22,9 +30,9 @@ search is a lower bound on the true supremum over the sphere and is reported
 with its direction count.  One entry, `scan_directions`, runs every such
 scan on a rows x n array: it projects the directions in blocks of bounded
 memory (a block of canonical directions only by copying y's columns),
-compresses and resamples each projection once for both estimates, solves a
-block's roots in cache-sized groups of directions and spreads the blocks over
-worker threads.
+draws one block resample for the whole scan, compresses and weights each
+projection once for both estimates, solves a block's roots in cache-sized
+groups of directions and spreads the blocks over worker threads.
 
 Every norm estimate is one `Psi2Estimate`.  With a lambda grid it holds the
 MGF variance proxy sigma `mgf_sigma` fits (a scan's is the largest over its
@@ -51,13 +59,14 @@ NEWTON_TOL = 1e-14       # relative Newton step that ends a root solve; also the
 NEWTON_MAX_ITERS = 50    # a row whose step stalls at rounding level stops here
 SCAN_BLOCK_BYTES = 2**26  # working-set budget of one block of directions in a scan
 ROOT_GROUP_CELLS = 2**16  # padded support points x supports x RESAMPLES per root solve
+BOOT_BLOCKS = 256        # contiguous row-blocks a bootstrap draw resamples
 PROJECT_TILE = 256       # rows of y per copy when a scan projects canonical directions
 
 _LOG2 = math.log(2.0)
 
 _TAG_SCALAR = 101
 _TAG_SCAN_DIRS = 201     # substream of a scan's direction set
-_TAG_SCAN_BOOT = 202     # substreams of a scan's per-direction resamples
+_TAG_SCAN_BOOT = 202     # substream of a scan's one block resample, shared by its directions
 
 
 @dataclass(frozen=True)
@@ -82,45 +91,69 @@ class Psi2Estimate:
                 f"interval [{self.ci_low}, {self.ci_high}] does not bracket {self.value}")
 
 
-def _compress(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(representatives, mean squares, counts) of a sample.
+def _compress(values: np.ndarray, blocks: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(representatives, mean squares, block counts) of a sample.
 
     A sample with at most BINS distinct values gives those values, their
     exact squares and their counts; a wider one gives BINS uniform bins over
     its range, each bin's mean of x and mean of x^2, with empty bins dropped.
-    When a prefix already holds more than BINS distinct values the sample is
-    binned without sorting it: the range then comes from its min and max,
-    which are the ends of the full sort, so the result is the same.
+    The counts are per row-block: a blocks x K matrix whose row b counts the
+    rows [b * len // blocks, (b + 1) * len // blocks).  The distinct values
+    of a prefix are counted first when each recurs in it, and the sample is
+    sorted only when that is not so or they miss a row; when the prefix
+    already holds more than BINS distinct values the sample is binned without
+    sorting it.  Either way the result is that of a full sort.
     """
-    if len(np.unique(values[:2 * BINS + 2])) > BINS:
-        lo, hi = float(values.min()), float(values.max())
-    else:
-        uniq, counts = np.unique(values, return_counts=True)
-        if len(uniq) <= BINS:
-            return uniq, uniq * uniq, counts
-        lo, hi = float(uniq[0]), float(uniq[-1])
+    starts = np.arange(blocks) * len(values) // blocks
+
+    def counted(uniq):
+        return np.stack([np.add.reduceat(values == u, starts, dtype=np.int64)
+                         for u in uniq], axis=1)
+
+    uniq, seen = np.unique(values[:2 * BINS + 2], return_counts=True)
+    if len(uniq) <= BINS:
+        # a prefix whose every value recurs likely holds the whole support
+        cells = counted(uniq) if seen.min() > 1 else None
+        if cells is None or cells.sum() < len(values):
+            uniq = np.unique(values)
+            cells = counted(uniq) if len(uniq) <= BINS else None
+        if cells is not None:
+            return uniq, uniq * uniq, cells
+    lo, hi = float(values.min()), float(values.max())
     idx = np.minimum(((values - lo) * (BINS / (hi - lo))).astype(np.int64), BINS - 1)
-    cnt = np.bincount(idx, minlength=BINS)
     sums = np.bincount(idx, weights=values, minlength=BINS)
     squares = np.bincount(idx, weights=values * values, minlength=BINS)
+    idx += np.repeat(np.arange(blocks) * BINS, np.diff(starts, append=len(values)))
+    cells = np.bincount(idx, minlength=blocks * BINS).reshape(blocks, BINS)
+    cnt = cells.sum(axis=0)
     mask = cnt > 0
-    return sums[mask] / cnt[mask], squares[mask] / cnt[mask], cnt[mask]
+    return sums[mask] / cnt[mask], squares[mask] / cnt[mask], cells[:, mask]
 
 
-def _resample_counts(counts: np.ndarray, n: int, rng: np.random.Generator,
-                     resamples: int) -> np.ndarray:
-    p = counts / counts.sum()
-    return rng.multinomial(n, p, size=resamples)
+def _block_draw(rows: int, rng: np.random.Generator) -> np.ndarray:
+    """RESAMPLES x B multinomial counts of B = min(BOOT_BLOCKS, rows) equally
+    likely row-blocks, B per resample, as floats: the one bootstrap draw every
+    sample of these rows is weighted by."""
+    blocks = min(BOOT_BLOCKS, rows)
+    return rng.multinomial(blocks, np.full(blocks, 1.0 / blocks), size=RESAMPLES).astype(float)
 
 
-def _orlicz_roots(reps_sq: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+def _resample_counts(cells: np.ndarray, draw: np.ndarray) -> np.ndarray:
+    """R x K resample weights of a support: the draw's block counts times the
+    support's block counts.  Every product is an exact integer in float64, so
+    the weights do not depend on how BLAS orders the sum."""
+    return draw @ cells.astype(float)
+
+
+def _orlicz_roots(reps_sq: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Roots t of sum_k(w * exp(s / t^2)) / n = 2 for each weight row.
 
     reps_sq holds the support points s, shape (K, ...); weights the counts w,
-    shape (K, ..., R), each of their R rows summing to n.  Returns roots of
-    shape (..., R).  The support axis leads, so every sum over it adds the
-    terms in support order: zero-weight padding then leaves the sums exactly
-    unchanged, and a sample's roots do not depend on the samples solved with it.
+    shape (K, ..., R), each of their R rows with a positive total n.  Returns
+    roots of shape (..., R).  The support axis leads, so every sum over it adds
+    the terms in support order: zero-weight padding then leaves the sums
+    exactly unchanged, and a sample's roots do not depend on the samples
+    solved with it.
 
     Safeguarded Newton on K(u) = log(sum(w exp(s u)) / n) - log 2 in u = 1/t^2.
     K + log 2 is convex and increasing with value 0 at u = 0, so Newton started
@@ -137,6 +170,7 @@ def _orlicz_roots(reps_sq: np.ndarray, weights: np.ndarray, n: int) -> np.ndarra
     t = 0.
     """
     w = np.asarray(weights, dtype=float)
+    n = w.sum(axis=0)
     # Support points a row does not draw play no part in its criterion.
     s = np.where(w > 0.0, np.asarray(reps_sq, dtype=float)[..., None], 0.0)
     ws = w * s
@@ -144,7 +178,7 @@ def _orlicz_roots(reps_sq: np.ndarray, weights: np.ndarray, n: int) -> np.ndarra
     live = top > 0.0
     u = np.where(live, np.minimum(
         _LOG2 * n / np.where(live, ws.sum(axis=0), 1.0),
-        (_LOG2 + math.log(n)) / np.where(live, top, 1.0)), 0.0)
+        (_LOG2 + np.log(n)) / np.where(live, top, 1.0)), 0.0)
     active = live
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(NEWTON_MAX_ITERS):
@@ -166,27 +200,27 @@ def _orlicz_roots(reps_sq: np.ndarray, weights: np.ndarray, n: int) -> np.ndarra
             margin *= 2.0
 
 
-def _draw_support(x: np.ndarray, rng: np.random.Generator):
+def _draw_support(x: np.ndarray, draw: np.ndarray):
     """(representatives, mean squares, weights) of sample x: its support
-    compressed to at most BINS points, and RESAMPLES rows of multinomial
-    counts over it drawn with rng, each row summing to len(x).  An
-    almost-surely-zero sample gives None and draws nothing; a sample with a
-    NaN or infinite value raises ValidationError."""
+    compressed to at most BINS points, and its RESAMPLES rows of counts over
+    it under the block draw `_block_draw(len(x), ...)` made.  An
+    almost-surely-zero sample gives None and compresses nothing; a sample
+    with a NaN or infinite value raises ValidationError."""
     max_abs = float(np.max(np.abs(x)))
     if not math.isfinite(max_abs):
         raise ValidationError(f"sample has a non-finite value (max |x| = {max_abs})")
     if max_abs <= ZERO_TOL:
         return None
-    reps, squares, counts = _compress(x)
-    return reps, squares, _resample_counts(counts, len(x), rng, RESAMPLES)
+    reps, squares, cells = _compress(x, draw.shape[1])
+    return reps, squares, _resample_counts(cells, draw)
 
 
-def _orlicz_estimate(supports, n: int) -> np.ndarray:
+def _orlicz_estimate(supports) -> np.ndarray:
     """(median root, ci_low, ci_high) of the bootstrap-median Orlicz criterion,
-    one row per support of an n-point sample, a None support (a zero sample)
-    giving zeros.  Drawn supports are solved in consecutive groups of at most
-    ROOT_GROUP_CELLS padded cells (a wider one alone), which fit in cache; a
-    support's roots do not depend on its group.
+    one row per support, a None support (a zero sample) giving zeros.  Drawn
+    supports are solved in consecutive groups of at most ROOT_GROUP_CELLS
+    padded cells (a wider one alone), which fit in cache; a support's roots
+    do not depend on its group.
     """
     roots = np.zeros((len(supports), RESAMPLES))
     rows = [i for i, support in enumerate(supports) if support is not None]
@@ -204,7 +238,7 @@ def _orlicz_estimate(supports, n: int) -> np.ndarray:
             _, squares, counts = supports[i]
             reps_sq[:len(squares), j] = squares
             weights[:len(squares), j] = counts.T
-        roots[group] = _orlicz_roots(reps_sq, weights, n)
+        roots[group] = _orlicz_roots(reps_sq, weights)
     out = np.empty((len(supports), 3))
     out[:, 0] = np.median(roots, axis=-1)
     out[:, 1:] = np.percentile(roots, [2.5, 97.5], axis=-1).T
@@ -222,8 +256,8 @@ def psi2_scalar(samples, *, seed: int = 0, lambda_grid=None) -> Psi2Estimate:
     x = np.asarray(samples, dtype=float).ravel()
     if len(x) < 1000:
         raise InsufficientSamples(f"need at least 1000 samples, got {len(x)}")
-    support = _draw_support(x, substream(seed, _TAG_SCALAR))
-    value, lo, hi = _orlicz_estimate([support], len(x))[0]
+    support = _draw_support(x, _block_draw(len(x), substream(seed, _TAG_SCALAR)))
+    value, lo, hi = _orlicz_estimate([support])[0]
     sigma = None if lambda_grid is None else mgf_sigma(x, lambda_grid, support)
     return Psi2Estimate(value=float(value), ci_low=float(lo), ci_high=float(hi),
                         n_samples=len(x), mgf_sigma_max=sigma)
@@ -252,7 +286,7 @@ def mgf_sigma(x: np.ndarray, lambda_grid, support) -> float:
         return 0.0
 
     reps, _, weights = support
-    means = weights @ np.exp(np.outer(reps - mean, grid)) / len(x)
+    means = weights @ np.exp(np.outer(reps - mean, grid)) / weights.sum(axis=1)[:, None]
     bands = np.percentile(np.log(means), 97.5, axis=0)
     return float(np.sqrt(np.max(2.0 * np.clip(bands, 0.0, None) / grid**2)))
 
@@ -294,11 +328,12 @@ def scan_directions(y, n_random: int, seed: int, stream_id: int,
     a lambda grid, its mgf_sigma_max is the max fitted MGF sigma over the same
     set, and without one it is None.  y is a rows x n array, used uncentered.
 
-    The set is drawn from substream(seed, stream_id, 201), and direction d
-    draws its one resample matrix from substream(seed, stream_id, 202, d), so
-    its draws do not depend on the budget and the estimate does not fall as
-    the budget grows.  Each projection is compressed once and resampled once:
-    its Orlicz estimate and its MGF fit read the same weights, the MGF on the
+    The set is drawn from substream(seed, stream_id, 201), and the scan's one
+    block draw M from substream(seed, stream_id, 202) before any block goes to
+    a worker; every direction's weights are M times its own block counts, so
+    they do not depend on the budget and the estimate does not fall as the
+    budget grows.  Each projection is compressed and weighted once: its
+    Orlicz estimate and its MGF fit read the same weights, the MGF on the
     representatives shifted by the projection's mean.
 
     Directions go in fixed blocks whose working set fits SCAN_BLOCK_BYTES, so
@@ -320,12 +355,12 @@ def scan_directions(y, n_random: int, seed: int, stream_id: int,
     # product of the block that spans the canonical/all-ones edge.
     size = max(1, SCAN_BLOCK_BYTES // (8 * (rows + 6 * RESAMPLES * BINS)))
     blocks = [range(lo, min(lo + size, len(dirs))) for lo in range(0, len(dirs), size)]
+    draw = _block_draw(rows, substream(seed, stream_id, _TAG_SCAN_BOOT))
 
     def work(block):
         proj = _project(y, dirs, block)
-        supports = [_draw_support(x, substream(seed, stream_id, _TAG_SCAN_BOOT, d))
-                    for x, d in zip(proj, block)]
-        estimates = _orlicz_estimate(supports, rows)
+        supports = [_draw_support(x, draw) for x in proj]
+        estimates = _orlicz_estimate(supports)
         if lambda_grid is None:
             return estimates, []
         return estimates, [mgf_sigma(x, lambda_grid, support)

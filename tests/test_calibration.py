@@ -16,7 +16,13 @@ import pytest
 from scipy import integrate, optimize, special
 
 from subgauss.gaussian_core import CovarianceSpec, sample_gaussian, substream
-from subgauss.psi2_estimation import NEWTON_TOL, _draw_support, _orlicz_estimate, scan_directions
+from subgauss.psi2_estimation import (
+    NEWTON_TOL,
+    _block_draw,
+    _draw_support,
+    _orlicz_estimate,
+    scan_directions,
+)
 
 SAMPLES = 50_000
 SEEDS = range(100)
@@ -62,8 +68,9 @@ def estimates(law, seeds):
     supports = []
     for seed in seeds:
         x = draw(substream(seed, "calibration", law))
-        supports.append(_draw_support(x, substream(seed, "calibration-boot", law)))
-    return _orlicz_estimate(supports, SAMPLES)
+        boot = _block_draw(SAMPLES, substream(seed, "calibration-boot", law))
+        supports.append(_draw_support(x, boot))
+    return _orlicz_estimate(supports)
 
 
 class TestOracles:
@@ -105,8 +112,8 @@ class TestPointSupports:
 
     def test_rademacher(self):
         x = np.where(substream(3, "calibration-rademacher").random(SAMPLES) < 0.5, -1.0, 1.0)
-        value, lo, hi = _orlicz_estimate([_draw_support(x, substream(4, "calibration"))],
-                                         SAMPLES)[0]
+        draw = _block_draw(SAMPLES, substream(4, "calibration"))
+        value, lo, hi = _orlicz_estimate([_draw_support(x, draw)])[0]
         self.assert_holds(value, lo, hi, RADEMACHER)
 
     @pytest.mark.parametrize("n", (16, 64, 256))

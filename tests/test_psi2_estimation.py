@@ -11,8 +11,10 @@ from subgauss.errors import GridTooWide, InsufficientSamples, ValidationError
 from subgauss.gaussian_core import CovarianceSpec, sample_gaussian, substream
 from subgauss.psi2_estimation import (
     BINS,
+    BOOT_BLOCKS,
     PROJECT_TILE,
     RESAMPLES,
+    _block_draw,
     _compress,
     _draw_support,
     _orlicz_estimate,
@@ -87,20 +89,21 @@ class TestPsi2Scalar:
         assert (a.value, a.ci_low, a.ci_high) == (b.value, b.ci_low, b.ci_high)
 
 
-def criterion(reps_sq, weights, n, t):
-    """mean of exp(s / t^2) per weight column; weights has shape (K, R)."""
+def criterion(reps_sq, weights, t):
+    """mean of exp(s / t^2) per weight column over the column's own total;
+    weights has shape (K, R)."""
     expo = np.minimum(reps_sq[:, None] / (t * t)[None, :], 700.0)
-    return (weights * np.exp(expo)).sum(axis=0) / n
+    return (weights * np.exp(expo)).sum(axis=0) / weights.sum(axis=0)
 
 
-def reference_roots(reps_sq, weights, n, iters=48):
+def reference_roots(reps_sq, weights, iters=48):
     """Fixed-count bisection on t in (0, 10 max sqrt(s)]: the upper endpoints,
     where the criterion is <= 2.  Reference for the Newton solver."""
     lo = np.zeros(weights.shape[1])
     top = np.full(weights.shape[1], 10.0 * math.sqrt(reps_sq.max()))
     for _ in range(iters):
         mid = 0.5 * (lo + top)
-        too_small = criterion(reps_sq, weights, n, mid) > 2.0
+        too_small = criterion(reps_sq, weights, mid) > 2.0
         lo = np.where(too_small, mid, lo)
         top = np.where(too_small, top, mid)
     return top
@@ -115,28 +118,36 @@ def bootstrap_support(kind, count=20_000, resamples=50):
         "exact-three-point": lambda: rng.choice([-1.0, 0.5, 2.0], count),
         "exact-sparse": lambda: np.where(rng.random(count) < 1e-3, 40.0, 0.01),
     }[kind]()
-    _, squares, counts = _compress(x)  # the support every estimate solves
-    weights = _resample_counts(counts, count, substream(32, kind), resamples).T
-    return squares, weights, count
+    draw = _block_draw(count, substream(32, kind))[:resamples]
+    _, squares, cells = _compress(x, draw.shape[1])  # the support every estimate solves
+    return squares, _resample_counts(cells, draw).T
 
 
 SUPPORTS = ("binned-gaussian", "binned-heavy", "binned-clipped",
             "exact-three-point", "exact-sparse")
 
 
-def reference_compress(values):
+def reference_compress(values, blocks):
     """The compression with a full sort of every sample: the reference for the
-    prefix shortcut, which must give the same arrays."""
-    uniq, counts = np.unique(values, return_counts=True)
+    prefix shortcut, which must give the same arrays.  Returns (reps, squares,
+    counts, block counts); the block counts add one row at a time, each row
+    to the block whose [b * len // blocks, (b + 1) * len // blocks) holds it."""
+    block = np.searchsorted(np.arange(blocks) * len(values) // blocks,
+                            np.arange(len(values)), side="right") - 1
+    uniq, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
     if len(uniq) <= BINS:
-        return uniq, uniq * uniq, counts
+        cells = np.zeros((blocks, len(uniq)), dtype=np.int64)
+        np.add.at(cells, (block, inverse), 1)
+        return uniq, uniq * uniq, counts, cells
     lo, hi = float(uniq[0]), float(uniq[-1])
     idx = np.minimum(((values - lo) * (BINS / (hi - lo))).astype(np.int64), BINS - 1)
     cnt = np.bincount(idx, minlength=BINS)
     sums = np.bincount(idx, weights=values, minlength=BINS)
     squares = np.bincount(idx, weights=values * values, minlength=BINS)
+    cells = np.zeros((blocks, BINS), dtype=np.int64)
+    np.add.at(cells, (block, idx), 1)
     mask = cnt > 0
-    return sums[mask] / cnt[mask], squares[mask] / cnt[mask], cnt[mask]
+    return sums[mask] / cnt[mask], squares[mask] / cnt[mask], cnt[mask], cells[:, mask]
 
 
 class TestCompress:
@@ -146,19 +157,24 @@ class TestCompress:
         return levels[np.arange(count) % distinct][rng.permutation(count)]
 
     def assert_matches_reference(self, values):
-        for got, want in zip(_compress(values), reference_compress(values)):
+        reps, squares, cells = _compress(values, BOOT_BLOCKS)
+        # the totals are the block counts' column sums, and each block's own
+        # counts are checked too
+        arrays = (reps, squares, cells.sum(axis=0), cells)
+        for got, want in zip(arrays, reference_compress(values, BOOT_BLOCKS)):
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("distinct", (1, 2, BINS, BINS + 1, 640))
     def test_matches_full_sort(self, distinct):
         values = self.values(distinct)
-        reps, squares, counts = _compress(values)
+        reps, squares, cells = _compress(values, BOOT_BLOCKS)
+        counts = cells.sum(axis=0)
         assert len(reps) <= BINS and counts.sum() == len(values)
         self.assert_matches_reference(values)
 
     def test_exact_support_at_bins_distinct(self):
         values = self.values(BINS)
-        reps, squares, counts = _compress(values)
+        reps, squares, _ = _compress(values, BOOT_BLOCKS)
         np.testing.assert_array_equal(reps, np.unique(values))
         np.testing.assert_array_equal(squares, reps * reps)
 
@@ -171,10 +187,14 @@ class TestCompress:
         # the prefix holds BINS distinct values and the tail adds more
         head = self.values(BINS, count=prefix)
         self.assert_matches_reference(np.concatenate([head, self.values(5, count=100)]))
+        # the prefix holds three values and the tail adds a fourth
+        head = self.values(3, count=prefix)
+        self.assert_matches_reference(np.concatenate([head, [7.0], head[:50]]))
 
     def test_binned_squares_are_bin_means(self):
         values = substream(36, "compress").standard_normal(10_000)
-        reps, squares, counts = _compress(values)
+        reps, squares, cells = _compress(values, BOOT_BLOCKS)
+        counts = cells.sum(axis=0)
         assert np.all(squares >= reps * reps)  # Jensen within each bin
         assert squares @ counts == pytest.approx(values @ values, rel=1e-12)
 
@@ -182,39 +202,40 @@ class TestCompress:
 class TestOrliczRoots:
     @pytest.mark.parametrize("kind", SUPPORTS)
     def test_matches_reference_bisection(self, kind):
-        reps, weights, n = bootstrap_support(kind)
-        roots = _orlicz_roots(reps, weights, n)
-        reference = reference_roots(reps, weights, n)
+        reps, weights = bootstrap_support(kind)
+        roots = _orlicz_roots(reps, weights)
+        reference = reference_roots(reps, weights)
         np.testing.assert_allclose(roots, reference, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("kind", SUPPORTS)
     def test_criterion_at_most_two(self, kind):
-        reps, weights, n = bootstrap_support(kind)
-        roots = _orlicz_roots(reps, weights, n)
-        assert np.all(criterion(reps, weights, n, roots) <= 2.0)
+        reps, weights = bootstrap_support(kind)
+        roots = _orlicz_roots(reps, weights)
+        assert np.all(criterion(reps, weights, roots) <= 2.0)
 
     @pytest.mark.parametrize("s", (1e-6, 1.0, 3.5, 1e4))
     def test_single_point_support(self, s):
-        roots = _orlicz_roots(np.array([s]), np.full((1, 7), 500.0), 500)
+        roots = _orlicz_roots(np.array([s]), np.full((1, 7), 500.0))
         np.testing.assert_allclose(roots, math.sqrt(s / math.log(2.0)), rtol=1e-12)
 
     def test_all_weight_at_zero_gives_zero(self):
         reps = np.array([0.0, 4.0])
         weights = np.array([[100.0, 90.0], [0.0, 10.0]])  # row 0 draws only s = 0
-        roots = _orlicz_roots(reps, weights, 100)
+        roots = _orlicz_roots(reps, weights)
         assert roots[0] == 0.0
         assert roots[1] > 0.0
-        assert _orlicz_roots(np.array([0.0]), np.full((1, 3), 100.0), 100).tolist() == [0.0] * 3
+        assert _orlicz_roots(np.array([0.0]), np.full((1, 3), 100.0)).tolist() == [0.0] * 3
 
     def test_samples_solved_together_match_solved_alone(self):
         # a scan's numbers must not depend on which directions share a block
         rng = substream(33, "together")
         samples = [rng.standard_normal(5000), np.sign(rng.standard_normal(5000)),
                    np.zeros(5000), rng.uniform(-1.0, 1.0, 5000)]
-        supports = [_draw_support(x, substream(34, i)) for i, x in enumerate(samples)]
-        together = _orlicz_estimate(supports, 5000)
+        supports = [_draw_support(x, _block_draw(5000, substream(34, i)))
+                    for i, x in enumerate(samples)]
+        together = _orlicz_estimate(supports)
         for i, support in enumerate(supports):
-            alone = _orlicz_estimate([support], 5000)
+            alone = _orlicz_estimate([support])
             np.testing.assert_array_equal(together[i], alone[0])
 
 
@@ -231,7 +252,8 @@ class TestRootGroups:
                    np.clip(rng.uniform(-1.5, 1.5, 5000), -1.0, 1.0), # 256 bins
                    np.sign(rng.standard_normal(5000)),
                    rng.integers(0, 3, 5000) - 0.5]                   # 3 exact values
-        supports = [_draw_support(x, substream(36, i)) for i, x in enumerate(samples)]
+        supports = [_draw_support(x, _block_draw(5000, substream(36, i)))
+                    for i, x in enumerate(samples)]
         assert [None if s is None else len(s[1]) for s in supports] == [
             2, 41, None, BINS, BINS, 2, 3]
         return supports
@@ -239,12 +261,12 @@ class TestRootGroups:
     def solves(self, monkeypatch, supports):
         calls = []
 
-        def counted(reps_sq, weights, n):
+        def counted(reps_sq, weights):
             calls.append(reps_sq.shape[1])
-            return _orlicz_roots(reps_sq, weights, n)
+            return _orlicz_roots(reps_sq, weights)
 
         monkeypatch.setattr(psi2_estimation, "_orlicz_roots", counted)
-        return _orlicz_estimate(supports, 5000), calls
+        return _orlicz_estimate(supports), calls
 
     def test_estimates_do_not_depend_on_the_groups(self, monkeypatch):
         supports = self.supports()
@@ -484,7 +506,7 @@ class TestSharedDraw:
         return np.clip(substream(37, "shared").standard_normal((20_000, 4)), -1.5, 1.5)
 
     def count_calls(self, monkeypatch):
-        calls = {"_compress": 0, "_resample_counts": 0}
+        calls = {"_block_draw": 0, "_compress": 0, "_resample_counts": 0}
         for name in calls:
             original = getattr(psi2_estimation, name)
 
@@ -495,17 +517,77 @@ class TestSharedDraw:
             monkeypatch.setattr(psi2_estimation, name, counted)
         return calls
 
-    def test_one_compression_and_one_draw_per_direction(self, monkeypatch):
+    def test_one_draw_per_scan_and_one_compression_per_direction(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
-        scan = self.scan(self.data(), lambda_grid=[0.25, 0.5, 1.0])
+        scan = self.scan(self.data(), lambda_grid=[0.25, 0.5, 1.0], threads=2)
         assert scan.n_directions == 4 + 1 + 6
-        assert calls == {"_compress": 11, "_resample_counts": 11}
+        assert calls == {"_block_draw": 1, "_compress": 11, "_resample_counts": 11}
 
     def test_one_compression_and_one_draw_per_scalar_estimate(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
         est = psi2_scalar(self.data()[:, 0], lambda_grid=[0.25, 0.5, 1.0])
         assert est.mgf_sigma_max > 0.0
-        assert calls == {"_compress": 1, "_resample_counts": 1}
+        assert calls == {"_block_draw": 1, "_compress": 1, "_resample_counts": 1}
+
+    def test_uneven_blocks_give_each_resample_its_own_total(self):
+        # 20,001 rows in 256 blocks of 78 or 79 rows: a resample's total is its
+        # blocks' rows, and each root is the bisection on that total
+        rows = 20_001
+        x = np.clip(substream(38, "uneven").standard_normal(rows), -1.5, 1.5)
+        _, squares, weights = _draw_support(x, _block_draw(rows, substream(39, "uneven")))
+        totals = weights.sum(axis=1)
+        assert len(np.unique(totals)) > 1 and np.all(np.abs(totals - rows) < BOOT_BLOCKS)
+        roots = _orlicz_roots(squares, weights.T)
+        np.testing.assert_allclose(roots, reference_roots(squares, weights.T),
+                                   rtol=1e-12, atol=0.0)
+        assert np.all(criterion(squares, weights.T, roots) <= 2.0)
+
+    def test_fewer_rows_than_blocks(self, monkeypatch):
+        # 100 rows give 100 one-row blocks, the row bootstrap: no resample is empty
+        totals = []
+
+        def recorded(cells, draw):
+            weights = _resample_counts(cells, draw)
+            totals.append(weights.sum(axis=1))
+            return weights
+
+        monkeypatch.setattr(psi2_estimation, "_resample_counts", recorded)
+        y = self.data()[:100]
+        scan = self.scan(y, lambda_grid=[0.25, 0.5, 1.0])
+        assert len(totals) == scan.n_directions
+        assert np.all(np.concatenate(totals) == 100.0)
+        assert all(math.isfinite(v) and v > 0.0 for v in (
+            scan.value, scan.ci_low, scan.ci_high, scan.mgf_sigma_max))
+
+    def test_direction_estimates_do_not_depend_on_the_budget(self, monkeypatch):
+        # one direction per block, so each projection has the same bits at any
+        # budget; the shared draw then gives each direction the same estimates
+        rows = 2000
+        monkeypatch.setattr(psi2_estimation, "SCAN_BLOCK_BYTES",
+                            8 * (rows + 6 * RESAMPLES * BINS))
+        estimates, sigmas = [], []
+        fit = psi2_estimation.mgf_sigma
+
+        def orlicz(supports):
+            estimates.append(_orlicz_estimate(supports))
+            return estimates[-1]
+
+        def mgf(x, lambda_grid, support):
+            sigmas.append(fit(x, lambda_grid, support))
+            return sigmas[-1]
+
+        monkeypatch.setattr(psi2_estimation, "_orlicz_estimate", orlicz)
+        monkeypatch.setattr(psi2_estimation, "mgf_sigma", mgf)
+        y = self.data()[:rows]
+        per_budget = []
+        for budget in (8, 32):
+            estimates.clear()
+            sigmas.clear()
+            scan_directions(y, budget, 3, 0, lambda_grid=[0.25, 0.5, 1.0], threads=1)
+            per_budget.append((np.concatenate(estimates), list(sigmas)))
+        first = 4 + 1 + 8
+        np.testing.assert_array_equal(per_budget[0][0], per_budget[1][0][:first])
+        assert per_budget[0][1] == per_budget[1][1][:first]
 
     def test_scalar_estimate_independent_of_mgf_fit(self):
         x = self.data()[:, 0]
