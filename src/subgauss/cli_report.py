@@ -38,7 +38,6 @@ from .experiments import (
     ReportRow,
     TheoremConfig,
     WishartConfig,
-    merge_reports,
     run_corollary_experiment,
     run_counterexample,
     run_theorem_experiment,
@@ -47,41 +46,36 @@ from .experiments import (
 from .gaussian_core import THREADS, substream
 from .psi2_estimation import psi2_scalar
 
-# The parameters of each study: key -> (kind, default).  A kind is "int",
-# "num" (an int or a float), "str" or a list of one of these ("[int]"); it alone
-# fixes the JSON type check, the flag (--w-draws for w_draws) and the help line.
-# Limits, and every default but the grid lists (dims, and theorem's kappas and
-# maps), come from the study's config class.
-STUDIES = {
-    "theorem": {"dims": ("[int]", [16, 64, 256]), "kappas": ("[num]", [1, 4, 16]),
-                "maps": ("[str]", ["sgn", "clamp"]),
-                "samples": ("int", TheoremConfig.samples_per_cell),
-                "directions": ("int", TheoremConfig.directions)},
-    "corollary": {"dims": ("[int]", [32, 64, 128]),
-                  "w_draws": ("int", CorollaryConfig.w_draws),
-                  "samples": ("int", CorollaryConfig.samples_per_w),
-                  "directions": ("int", CorollaryConfig.directions)},
-    "wishart": {"dims": ("[int]", [64, 128, 256]), "trials": ("int", WishartConfig.trials),
-                "threshold": ("num", WishartConfig.threshold)},
-    "counterexample": {"dims": ("[int]", [16, 64, 256]),
-                       "samples": ("int", CounterexampleConfig.samples)},
-}
-_COMMON = {"seed": ("int", None), "format": ("str", "csv"), "output_dir": ("str", "out")}
-_KINDS = {"int": ((int,), int), "num": ((int, float), float), "str": ((str,), str)}
+# Each study's config class is its parameter table: its fields but seed are the
+# study's keys (and flags, --w-draws for w_draws), with their defaults, and its
+# docstring is the study's help line.  Limits are checked when a config is built.
+STUDIES = {"theorem": TheoremConfig, "corollary": CorollaryConfig,
+           "wishart": WishartConfig, "counterexample": CounterexampleConfig}
+DEFAULTS = {name: {f.name: f.default for f in fields(cls) if f.name != "seed"}
+            for name, cls in STUDIES.items()}
+# The kind of every key: "int", "num" (an int or a float), "str" or a list of
+# one of these ("[int]").  It alone fixes the JSON type check, the flag's parse,
+# the value a config field is given and the help line.
+KINDS = {"dims": "[int]", "kappas": "[num]", "maps": "[str]", "samples": "int",
+         "directions": "int", "w_draws": "int", "trials": "int", "threshold": "num",
+         "seed": "int", "format": "str", "output_dir": "str"}
+_COMMON = ("seed", "format", "output_dir")  # every experiment's keys
+_TYPES = {"int": ((int,), int), "num": ((int, float), float), "str": ((str,), str)}
 EXPERIMENTS = (*STUDIES, "all")
 
 SCHEMA_HELP = "\n".join([
     "Config file schema (strict JSON object; unknown keys are errors):",
     f"  common:          experiment (one of {', '.join(EXPERIMENTS)}),\n{'':19}"
-    + ", ".join(f"{key} ({kind})" for key, (kind, _) in _COMMON.items()),
+    + ", ".join(f"{key} ({KINDS[key]})" for key in _COMMON),
     *(f"  {name + ':':<17}" + ", ".join(
-        f"{key} {kind}" if kind.startswith("[") else f"{key} ({kind})"
-        for key, (kind, _) in params.items()) for name, params in STUDIES.items()),
+        f"{key} {KINDS[key]}" if KINDS[key].startswith("[") else f"{key} ({KINDS[key]})"
+        for key in params) for name, params in DEFAULTS.items()),
     "A num is an int or a float, never a bool.  An error names the limit it breaks.", ""])
 
 
-def _check_kind(key: str, kind: str, value) -> None:
-    types = _KINDS[kind.strip("[]")][0]
+def _check_kind(key: str, value) -> None:
+    kind = KINDS[key]
+    types = _TYPES[kind.strip("[]")][0]
     items = value if kind.startswith("[") else [value]
     if not isinstance(items, list) or any(
             isinstance(v, bool) or not isinstance(v, types) for v in items):
@@ -89,7 +83,7 @@ def _check_kind(key: str, kind: str, value) -> None:
 
 
 def _flag_type(kind: str):
-    parse = _KINDS[kind.strip("[]")][1]
+    parse = _TYPES[kind.strip("[]")][1]
     if not kind.startswith("["):
         return parse
 
@@ -98,6 +92,12 @@ def _flag_type(kind: str):
 
     parse_list.__name__ = kind  # argparse names the type in its error message
     return parse_list
+
+
+def _field_value(key: str, value):
+    """A checked key's value as its config field holds it: lists as tuples, nums as floats."""
+    parse = _TYPES[KINDS[key].strip("[]")][1]
+    return tuple(map(parse, value)) if isinstance(value, list) else parse(value)
 
 
 def _env_int(name: str, default: int) -> int:
@@ -122,9 +122,6 @@ class RunConfig:
         self.output_dir = str(output_dir)
         self.seed = _env_int("SUBGAUSS_SEED", DEFAULT_SEED) if seed is None else int(seed)
         self.format = format
-        empty = [key for key, value in self.parameters.items() if value == []]
-        if empty:
-            raise ValidationError(f"key {empty[0]!r} must not be empty")
         self.configs = build_experiment_configs(self)  # every precondition, up front
 
     def __eq__(self, other):
@@ -148,16 +145,16 @@ def _read_config(file_contents: str) -> tuple[str, dict]:
         raise SchemaError("missing required key 'experiment'")
     if experiment not in EXPERIMENTS:
         raise ValidationError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
-    table = {**STUDIES.get(experiment, {}), **_COMMON}
+    keys = (*DEFAULTS.get(experiment, ()), *_COMMON)
     for key, value in doc.items():
-        if key not in table:
+        if key not in keys:
             raise SchemaError(f"unknown key {key!r} for experiment {experiment!r}")
-        _check_kind(key, table[key][0], value)
+        _check_kind(key, value)
     return experiment, doc
 
 
 def _run_config(experiment: str, values: dict) -> RunConfig:
-    common = {key: values.pop(key, default) for key, (_, default) in _COMMON.items()}
+    common = {key: values.pop(key) for key in _COMMON if key in values}
     return RunConfig(experiment, values, **common)
 
 
@@ -169,39 +166,21 @@ def parse_config(file_contents: str) -> RunConfig:
 def build_experiment_configs(run: RunConfig) -> dict:
     """Expand a RunConfig into the studies' config objects, whose construction
     checks every precondition."""
-    out = {}
-    for name in STUDIES if run.experiment == "all" else (run.experiment,):
-        p = {**{key: default for key, (_, default) in STUDIES[name].items()}, **run.parameters}
-        if name == "theorem":
-            out[name] = tuple(
-                TheoremConfig(dims=tuple(p["dims"]), kappas=tuple(map(float, p["kappas"])),
-                              map_name=m, samples_per_cell=p["samples"],
-                              directions=p["directions"], seed=run.seed)
-                for m in p["maps"])
-        elif name == "corollary":
-            out[name] = CorollaryConfig(dims=tuple(p["dims"]), w_draws=p["w_draws"],
-                                        samples_per_w=p["samples"],
-                                        directions=p["directions"], seed=run.seed)
-        elif name == "wishart":
-            out[name] = WishartConfig(tuple(p["dims"]), p["trials"], float(p["threshold"]), run.seed)
-        else:
-            out[name] = CounterexampleConfig(tuple(p["dims"]), p["samples"], run.seed)
-    return out
+    params = {key: _field_value(key, value) for key, value in run.parameters.items()}
+    return {name: STUDIES[name](**params, seed=run.seed)
+            for name in (STUDIES if run.experiment == "all" else (run.experiment,))}
 
 
 def run_experiments(run: RunConfig, *, threads: int = THREADS) -> list[ExperimentReport]:
-    reports = []
-    for name, cfg in run.configs.items():
-        if name == "theorem":
-            reports.append(merge_reports(
-                [run_theorem_experiment(c, threads=threads) for c in cfg]))
-        elif name == "corollary":
-            reports.append(run_corollary_experiment(cfg, threads=threads))
-        elif name == "wishart":
-            reports.append(run_wishart_conditioning(cfg))
-        else:
-            reports.append(run_counterexample(cfg, threads=threads))
-    return reports
+    # The runners are looked up at each call, so a rebound module name (a
+    # tracer's wrapper, say) is the one that runs.
+    runners = {
+        "theorem": lambda cfg: run_theorem_experiment(cfg, threads=threads),
+        "corollary": lambda cfg: run_corollary_experiment(cfg, threads=threads),
+        "wishart": run_wishart_conditioning,
+        "counterexample": lambda cfg: run_counterexample(cfg, threads=threads),
+    }
+    return [runners[name](cfg) for name, cfg in run.configs.items()]
 
 
 # Report emission --------------------------------------------------------------
@@ -217,6 +196,14 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
+
+
+def report_paths(experiment: str, format: str, output_dir) -> list[Path]:
+    """The files a report is written to: csv rows, sidecar and curves, or one json."""
+    out = Path(output_dir)
+    if format == "json":
+        return [out / f"{experiment}.json"]
+    return [out / f"{experiment}{suffix}" for suffix in (".csv", ".json", "_curves.csv")]
 
 
 def _prepare_target(path: Path, force: bool) -> None:
@@ -256,30 +243,24 @@ def emit_report(report: ExperimentReport, format: str, output_dir, *,
     if run_config_echo is not None:
         sidecar["run_config"] = run_config_echo
 
-    paths = []
+    paths = report_paths(report.experiment, format, out)
+    for target in paths:
+        _prepare_target(target, force)
     try:
         if format == "json":
-            target = out / f"{report.experiment}.json"
-            _prepare_target(target, force)
             sidecar["rows"] = [r.as_dict() for r in report.rows]
-            target.write_text(json.dumps(sidecar, indent=2, sort_keys=True,
-                                         default=np.generic.item) + "\n")
-            return [target]
+            paths[0].write_text(json.dumps(sidecar, indent=2, sort_keys=True,
+                                           default=np.generic.item) + "\n")
+            return paths
 
-        csv_path = out / f"{report.experiment}.csv"
-        json_path = out / f"{report.experiment}.json"
-        curves_path = out / f"{report.experiment}_curves.csv"
-        for target in (csv_path, json_path, curves_path):
-            _prepare_target(target, force)
+        csv_path, json_path, curves_path = paths
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(_CSV_COLUMNS)
             for r in report.rows:
                 writer.writerow([_fmt(v) for v in r.as_dict().values()])
-        paths.append(csv_path)
         json_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True,
                                         default=np.generic.item) + "\n")
-        paths.append(json_path)
         with open(curves_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(("experiment", "series", "n", "value"))
@@ -287,7 +268,6 @@ def emit_report(report: ExperimentReport, format: str, output_dir, *,
                 if r.n is not None:
                     writer.writerow([_fmt(v) for v in
                                      (r.experiment, r.estimator, r.n, r.value)])
-        paths.append(curves_path)
     except OSError as exc:
         raise IoError(f"failed writing report files in {out}: {exc}") from exc
     return paths
@@ -332,24 +312,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_COMMAND_HELP = {
-    "theorem": "bounded-map concentration grid",
-    "corollary": "sign-quantized square maps, row partition",
-    "wishart": "half-block conditioning statistics",
-    "counterexample": "rank-one all-ones covariance growth",
-    "all": "run all four studies with defaults",
-    "selftest": "closed-form oracle suite",
-}
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="subgauss", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, help_text in _COMMAND_HELP.items():
-        p = sub.add_parser(command, help=help_text)
-        if command == "selftest":
-            continue
+    for command in EXPERIMENTS:
+        study = STUDIES.get(command)
+        p = sub.add_parser(command, help=study.__doc__ if study else
+                           "Run all four studies with defaults.")
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int,
                        help=f"master seed (default: SUBGAUSS_SEED or {DEFAULT_SEED})")
@@ -357,9 +327,11 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=("csv", "json"))
         p.add_argument("--force", action="store_true", help="overwrite existing output files")
         p.add_argument("--threads", type=int, help="worker threads (speed only, never results)")
-        for key, (kind, default) in STUDIES.get(command, {}).items():
-            p.add_argument("--" + key.replace("_", "-"), type=_flag_type(kind),
-                           help=f"{kind}, default {default}")
+        for key, default in DEFAULTS.get(command, {}).items():
+            text = ",".join(map(str, default)) if isinstance(default, tuple) else default
+            p.add_argument("--" + key.replace("_", "-"), type=_flag_type(KINDS[key]),
+                           help=f"{KINDS[key]}, default {text}")
+    sub.add_parser("selftest", help="Closed-form oracle suite.")
     return parser
 
 
@@ -376,7 +348,7 @@ def _assemble_run_config(args) -> RunConfig:
             raise ValidationError(
                 f"config is for experiment {experiment!r} but the "
                 f"{args.command!r} subcommand was invoked")
-    flags = {key: getattr(args, key) for key in STUDIES.get(args.command, {})}
+    flags = {key: getattr(args, key) for key in DEFAULTS.get(args.command, {})}
     flags.update(seed=args.seed, format=args.format, output_dir=args.out)
     values.update({key: value for key, value in flags.items() if value is not None})
     return _run_config(args.command, values)
@@ -406,6 +378,9 @@ def run_cli(argv=None) -> int:
         return 2
 
     try:
+        for name in run.configs:  # refuse before any study runs, not after all of them
+            for path in report_paths(name, run.format, run.output_dir):
+                _prepare_target(path, args.force)
         reports = run_experiments(run, threads=threads)
         all_passed = True
         for report in reports:

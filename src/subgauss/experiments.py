@@ -110,60 +110,64 @@ def report_metadata(experiment: str, seed: int, echo: dict) -> dict:
     }
 
 
-def merge_reports(reports: list) -> ExperimentReport:
-    rows = tuple(r for rep in reports for r in rep.rows)
-    meta = dict(reports[0].metadata)
-    meta["config"] = [rep.metadata.get("config") for rep in reports]
-    return ExperimentReport(experiment=reports[0].experiment, rows=rows, metadata=meta)
-
-
 # Configs ---------------------------------------------------------------------
 
+# Each class is its study's whole parameter table (the CLI's keys, defaults and
+# help line), and building one checks every limit.
+
+def _check_grid(key: str, values: tuple) -> None:
+    if not values:  # an empty grid would report vacuous passes
+        raise ValidationError(f"{key} must not be empty")
+
+
 def _check_dims(dims: tuple, least: int) -> None:
-    if not dims:  # an empty grid would report vacuous passes
-        raise ValidationError("dims must not be empty")
+    _check_grid("dims", dims)
     for n in dims:
         check_count("dims", n, least)
 
 
 @dataclass(frozen=True)
 class TheoremConfig:
-    dims: tuple
-    kappas: tuple
-    map_name: str = "sgn"
-    samples_per_cell: int = 100_000
+    """Bounded-map concentration grid, one map after another."""
+    dims: tuple = (16, 64, 256)
+    kappas: tuple = (1.0, 4.0, 16.0)
+    maps: tuple = ("sgn", "clamp")
+    samples: int = 100_000
     directions: int = 64
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         _check_dims(self.dims, 2)
-        if not self.kappas:
-            raise ValidationError("kappas must not be empty")
+        _check_grid("kappas", self.kappas)
         if not all(1 <= k < math.inf for k in self.kappas):  # NaN fails too
             raise ValidationError(f"kappas must be finite and >= 1, got {self.kappas}")
-        check_count("samples_per_cell", self.samples_per_cell, 10_000)
+        check_count("samples", self.samples, 10_000)
         check_count("directions", self.directions, 0)
-        get_map(self.map_name)  # fail fast on unknown names
+        _check_grid("maps", self.maps)
+        for name in self.maps:
+            get_map(name)  # fail fast on unknown names
 
 
 @dataclass(frozen=True)
 class CorollaryConfig:
-    dims: tuple
+    """Sign-quantized square maps, row partition."""
+    dims: tuple = (32, 64, 128)
     w_draws: int = 50
-    samples_per_w: int = 100_000
+    samples: int = 100_000
     directions: int = 32
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         _check_dims(self.dims, 2)
         check_count("w_draws", self.w_draws, 20)
-        check_count("samples_per_w", self.samples_per_w, 10_000)
+        check_count("samples", self.samples, 10_000)
         check_count("directions", self.directions, 0)
 
 
 @dataclass(frozen=True)
 class WishartConfig:
-    dims: tuple
+    """Half-block conditioning statistics."""
+    dims: tuple = (64, 128, 256)
     trials: int = 1000
     threshold: float = EXCEEDANCE_THRESHOLD
     seed: int = DEFAULT_SEED
@@ -177,7 +181,8 @@ class WishartConfig:
 
 @dataclass(frozen=True)
 class CounterexampleConfig:
-    dims: tuple
+    """Rank-one all-ones covariance growth."""
+    dims: tuple = (16, 64, 256)
     samples: int = 100_000
     seed: int = DEFAULT_SEED
 
@@ -234,39 +239,42 @@ def _ratio(values) -> float:
 # Experiment runners ------------------------------------------------------------
 
 def run_theorem_experiment(cfg: TheoremConfig, *, threads: int = THREADS) -> ExperimentReport:
-    """Per (n, kappa) cell: sample X ~ N(0, Sigma), form Y = phi(X), center by
-    the mean of an independent half, and scan the direction set for the max
-    Orlicz estimate and the max fitted MGF sigma.  The sampler frees the
-    centering half once it has its mean and only then draws the scanned half,
-    so a cell never holds X or the whole image, only one half at a time.
+    """For each map in turn, seeded by its name, and per (n, kappa) cell:
+    sample X ~ N(0, Sigma), form Y = phi(X), center by the mean of an
+    independent half, and scan the direction set for the max Orlicz estimate
+    and the max fitted MGF sigma.  The sampler frees the centering half once
+    it has its mean and only then draws the scanned half, so a cell never
+    holds X or the whole image, only one half at a time.  The rows are the
+    concatenation of one single-map run's rows per map, in the order given.
 
     The pass gate on each cell is the theorem's variance proxy: fitted sigma
     at most sqrt(4 + (2/pi)(kappa - 1)).  Orlicz estimates are reported as
     informational rows.
     """
-    bmap = get_map(cfg.map_name)
-    eff_seed = subseed(cfg.seed, "theorem", cfg.map_name)
     rows = []
-    orlicz_by_kappa = {k: {} for k in cfg.kappas}
-    sigma_by_kappa = {k: {} for k in cfg.kappas}
-    for cell, (n, kappa) in enumerate(product(cfg.dims, cfg.kappas)):
-        cov = make_conditioned_covariance(n, kappa, subseed(eff_seed, "cov", cell))
-        centered = sample_centered_half(cov, cfg.samples_per_cell, eff_seed, cell,
-                                        threads=threads, phi=bmap)
-        scan = scan_directions(centered, cfg.directions, eff_seed, cell,
-                               lambda_grid=LAMBDA_GRID, threads=threads)
-        del centered  # the next cell samples before this name is rebound
-        rows.append(ReportRow("theorem", n, kappa, f"mgf_fit:{cfg.map_name}",
-                              scan.mgf_sigma_max, bound=math.sqrt(sigma_sq_bound(kappa))))
-        rows.append(ReportRow("theorem", n, kappa, f"orlicz:{cfg.map_name}",
-                              scan.value, scan.ci_low, scan.ci_high))
-        orlicz_by_kappa[kappa][n] = scan.value
-        sigma_by_kappa[kappa][n] = scan.mgf_sigma_max
-    for kappa in cfg.kappas:
-        rows.append(ReportRow("theorem", None, kappa, f"dim_flatness:{cfg.map_name}",
-                              _ratio(orlicz_by_kappa[kappa].values()), bound=FLATNESS_BOUND))
-        rows.append(ReportRow("theorem", None, kappa, f"sigma_flatness:{cfg.map_name}",
-                              _ratio(sigma_by_kappa[kappa].values())))
+    for name in cfg.maps:
+        bmap = get_map(name)
+        eff_seed = subseed(cfg.seed, "theorem", name)
+        orlicz_by_kappa = {k: {} for k in cfg.kappas}
+        sigma_by_kappa = {k: {} for k in cfg.kappas}
+        for cell, (n, kappa) in enumerate(product(cfg.dims, cfg.kappas)):
+            cov = make_conditioned_covariance(n, kappa, subseed(eff_seed, "cov", cell))
+            centered = sample_centered_half(cov, cfg.samples, eff_seed, cell,
+                                            threads=threads, phi=bmap)
+            scan = scan_directions(centered, cfg.directions, eff_seed, cell,
+                                   lambda_grid=LAMBDA_GRID, threads=threads)
+            del centered  # the next cell samples before this name is rebound
+            rows.append(ReportRow("theorem", n, kappa, f"mgf_fit:{name}", scan.mgf_sigma_max,
+                                  bound=math.sqrt(sigma_sq_bound(kappa))))
+            rows.append(ReportRow("theorem", n, kappa, f"orlicz:{name}",
+                                  scan.value, scan.ci_low, scan.ci_high))
+            orlicz_by_kappa[kappa][n] = scan.value
+            sigma_by_kappa[kappa][n] = scan.mgf_sigma_max
+        for kappa in cfg.kappas:
+            rows.append(ReportRow("theorem", None, kappa, f"dim_flatness:{name}",
+                                  _ratio(orlicz_by_kappa[kappa].values()), bound=FLATNESS_BOUND))
+            rows.append(ReportRow("theorem", None, kappa, f"sigma_flatness:{name}",
+                                  _ratio(sigma_by_kappa[kappa].values())))
     return ExperimentReport("theorem", tuple(rows),
                             report_metadata("theorem", cfg.seed, config_echo(cfg)))
 
@@ -290,7 +298,7 @@ def run_corollary_experiment(cfg: CorollaryConfig, *, threads: int = THREADS) ->
             w1, w2 = partition_rows(w_matrix)
             kappa1 = condition_number(CovarianceSpec.wishart_of(w1))
             kappa2 = condition_number(CovarianceSpec.wishart_of(w2))
-            y = sample_gaussian(CovarianceSpec.identity(n), cfg.samples_per_w,
+            y = sample_gaussian(CovarianceSpec.identity(n), cfg.samples,
                                 eff_seed, w_idx, threads=threads,
                                 phi=lambda x: np.sign(x @ w_matrix.T))
             tag = f"w{w_idx:02d}"
@@ -299,7 +307,7 @@ def run_corollary_experiment(cfg: CorollaryConfig, *, threads: int = THREADS) ->
             # within 3 standard errors of 0.  Checked as an exceedance
             # fraction (expected 0.27%), since the max over n coordinates
             # exceeds 3 SE routinely by multiplicity alone.
-            z_scores = np.abs(y.mean(axis=0)) * math.sqrt(cfg.samples_per_w)
+            z_scores = np.abs(y.mean(axis=0)) * math.sqrt(cfg.samples)
             rows.append(ReportRow("corollary", n, None, f"symmetry_exceed:{tag}",
                                   float(np.mean(z_scores > 3.0)), bound=0.05))
 

@@ -17,7 +17,6 @@ from subgauss.experiments import (
     CounterexampleConfig,
     TheoremConfig,
     WishartConfig,
-    merge_reports,
     run_corollary_experiment,
     run_counterexample,
     run_theorem_experiment,
@@ -36,20 +35,17 @@ def _criterion(num: int, description: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def theorem_grid():
     t0 = time.time()
-    reports = [
-        run_theorem_experiment(TheoremConfig(
-            dims=(16, 64, 256), kappas=(1.0, 4.0, 16.0), map_name=name,
-            samples_per_cell=100_000, directions=64, seed=SEED))
-        for name in ("sgn", "clamp")
-    ]
-    return merge_reports(reports), time.time() - t0
+    report = run_theorem_experiment(TheoremConfig(
+        dims=(16, 64, 256), kappas=(1.0, 4.0, 16.0), maps=("sgn", "clamp"),
+        samples=100_000, directions=64, seed=SEED))
+    return report, time.time() - t0
 
 
 @pytest.fixture(scope="module")
 def corollary_run():
     t0 = time.time()
     report = run_corollary_experiment(CorollaryConfig(
-        dims=(32, 64, 128), w_draws=50, samples_per_w=100_000,
+        dims=(32, 64, 128), w_draws=50, samples=100_000,
         directions=32, seed=SEED))
     return report, time.time() - t0
 

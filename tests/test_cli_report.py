@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from subgauss import gaussian_core
+import subgauss.cli_report as cli
 from subgauss.cli_report import (
+    DEFAULTS,
     STUDIES,
     _assemble_run_config,
     build_parser,
@@ -17,8 +19,11 @@ from subgauss.experiments import (
     CounterexampleConfig,
     ExperimentReport,
     ReportRow,
+    TheoremConfig,
     WishartConfig,
+    config_echo,
     report_metadata,
+    run_counterexample,
     run_wishart_conditioning,
 )
 
@@ -86,6 +91,13 @@ class TestParseConfig:
         run = parse_config('{"experiment":"all","seed":1}')
         configs = build_experiment_configs(run)
         assert set(configs) == {"theorem", "corollary", "wishart", "counterexample"}
+
+    @pytest.mark.parametrize("name", list(STUDIES))
+    def test_report_config_echo_reads_back_as_a_config_file(self, name):
+        # a sidecar's metadata.config plus the experiment and seed is a config file
+        cfg = STUDIES[name](seed=5)
+        doc = {"experiment": name, "seed": 5, **config_echo(cfg)}
+        assert parse_config(json.dumps(doc)).configs[name] == cfg
 
     def test_all_experiment_rejects_parameter_keys(self):
         with pytest.raises(SchemaError):
@@ -220,9 +232,29 @@ class TestRunCli:
         assert run_cli(CX_ARGS + ["--out", out]) == 2
         assert run_cli(CX_ARGS + ["--out", out, "--force"]) == 0
 
-    def test_bound_violation_exit_1(self, tmp_path, monkeypatch):
-        import subgauss.cli_report as cli
+    def test_existing_report_refused_before_any_study(self, tmp_path, monkeypatch):
+        def never(run, threads=1):
+            raise AssertionError("a study ran although its report would be refused")
 
+        monkeypatch.setattr(cli, "run_experiments", never)
+        (tmp_path / "wishart.csv").write_text("kept\n")
+        assert run_cli(["all", "--out", str(tmp_path)]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["wishart.csv"]
+        assert (tmp_path / "wishart.csv").read_text() == "kept\n"
+
+    def test_runner_looked_up_at_call_time(self, tmp_path, monkeypatch):
+        # a wrapper bound over the module's runner name is the one that runs
+        calls = []
+
+        def recording(cfg, **kwargs):
+            calls.append(cfg)
+            return run_counterexample(cfg, **kwargs)
+
+        monkeypatch.setattr(cli, "run_counterexample", recording)
+        assert run_cli(CX_ARGS + ["--out", str(tmp_path)]) == 0
+        assert calls == [CounterexampleConfig((8, 16, 64), samples=20_000, seed=7)]
+
+    def test_bound_violation_exit_1(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "run_experiments",
                             lambda run, threads=1: [tiny_report(passed=False)])
         assert run_cli(CX_ARGS + ["--out", str(tmp_path / "x")]) == 1
@@ -256,11 +288,11 @@ class TestParameterTable:
                         "--out", str(out)]) == 64
         assert not out.exists()
 
-    @pytest.mark.parametrize("study,key", [(study, key) for study, params in STUDIES.items()
+    @pytest.mark.parametrize("study,key", [(study, key) for study, params in DEFAULTS.items()
                                            for key in params])
     def test_json_key_and_flag_agree(self, study, key):
-        _, default = STUDIES[study][key]
-        text = ",".join(map(str, default)) if isinstance(default, list) else str(default)
+        default = DEFAULTS[study][key]
+        text = ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
         from_json = parse_config(json.dumps({"experiment": study, key: default, "seed": 5}))
         args = build_parser().parse_args(
             [study, "--" + key.replace("_", "-"), text, "--seed", "5"])
@@ -322,7 +354,7 @@ class TestParameterTable:
 
     def test_run_config_keeps_built_configs(self):
         run = parse_config('{"experiment":"all","seed":1}')
-        assert len(run.configs["theorem"]) == 2
+        assert run.configs["theorem"] == TheoremConfig(maps=("sgn", "clamp"), seed=1)
         assert run.configs["counterexample"].dims == (16, 64, 256)
 
     def test_each_study_config_is_built_once(self, monkeypatch, tmp_path):

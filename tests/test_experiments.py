@@ -15,7 +15,6 @@ from subgauss.experiments import (
     TheoremConfig,
     WishartConfig,
     make_conditioned_covariance,
-    merge_reports,
     partition_rows,
     run_corollary_experiment,
     run_counterexample,
@@ -128,8 +127,8 @@ class TestReportRow:
 
 @pytest.fixture(scope="module")
 def small_theorem_report():
-    cfg = TheoremConfig(dims=(8, 16), kappas=(1.0, 4.0), map_name="sgn",
-                        samples_per_cell=20_000, directions=8, seed=5)
+    cfg = TheoremConfig(dims=(8, 16), kappas=(1.0, 4.0), maps=("sgn",),
+                        samples=20_000, directions=8, seed=5)
     return cfg, run_theorem_experiment(cfg)
 
 
@@ -168,8 +167,8 @@ class TestTheoremExperiment:
     def test_metadata_echoes_the_config(self, small_theorem_report):
         _, report = small_theorem_report
         assert report.metadata["config"] == {
-            "dims": [8, 16], "kappas": [1.0, 4.0], "map_name": "sgn",
-            "samples_per_cell": 20_000, "directions": 8}
+            "dims": [8, 16], "kappas": [1.0, 4.0], "maps": ["sgn"],
+            "samples": 20_000, "directions": 8}
 
     def test_determinism(self, small_theorem_report):
         cfg, report = small_theorem_report
@@ -177,8 +176,8 @@ class TestTheoremExperiment:
         assert [r.as_dict() for r in again.rows] == [r.as_dict() for r in report.rows]
 
     def test_constant_map_gives_zero_sigma(self):
-        cfg = TheoremConfig(dims=(8,), kappas=(4.0,), map_name="one",
-                            samples_per_cell=20_000, directions=8, seed=6)
+        cfg = TheoremConfig(dims=(8,), kappas=(4.0,), maps=("one",),
+                            samples=20_000, directions=8, seed=6)
         report = run_theorem_experiment(cfg)
         (sigma_row,) = report.select("mgf_fit")
         assert sigma_row.value == 0.0
@@ -191,7 +190,7 @@ class TestTheoremExperiment:
         with pytest.raises(ValidationError):
             TheoremConfig(dims=(1,), kappas=(1.0,))
         with pytest.raises(ValidationError):
-            TheoremConfig(dims=(8,), kappas=(1.0,), samples_per_cell=100)
+            TheoremConfig(dims=(8,), kappas=(1.0,), samples=100)
 
     @pytest.mark.parametrize("dims,kappas,key", [((), (1.0,), "dims"), ((8,), (), "kappas")])
     def test_empty_grid_rejected(self, dims, kappas, key):
@@ -203,8 +202,8 @@ class TestTheoremExperiment:
         # half is freed before the scanned half is drawn, and nothing is copied
         monkeypatch.setattr(psi2_estimation, "SCAN_BLOCK_BYTES", 2**20)
         rows, n = 10**5, 64
-        cfg = TheoremConfig(dims=(n,), kappas=(1.0,), map_name="clamp",
-                            samples_per_cell=rows, directions=0, seed=1)
+        cfg = TheoremConfig(dims=(n,), kappas=(1.0,), maps=("clamp",),
+                            samples=rows, directions=0, seed=1)
         tracemalloc.start()  # it sees numpy's buffers
         try:
             run_theorem_experiment(cfg, threads=1)
@@ -231,7 +230,7 @@ class TestConditionalHoeffding:
 
 @pytest.fixture(scope="module")
 def small_corollary_report():
-    cfg = CorollaryConfig(dims=(8, 16), w_draws=20, samples_per_w=20_000,
+    cfg = CorollaryConfig(dims=(8, 16), w_draws=20, samples=20_000,
                           directions=8, seed=2)
     return cfg, run_corollary_experiment(cfg)
 
@@ -282,7 +281,7 @@ class TestCorollaryExperiment:
     def test_metadata_echoes_the_config(self, small_corollary_report):
         _, report = small_corollary_report
         assert report.metadata["config"] == {
-            "dims": [8, 16], "w_draws": 20, "samples_per_w": 20_000, "directions": 8}
+            "dims": [8, 16], "w_draws": 20, "samples": 20_000, "directions": 8}
 
     def test_determinism(self, small_corollary_report):
         cfg, report = small_corollary_report
@@ -399,11 +398,11 @@ class TestCounterexample:
     lambda: run_wishart_conditioning(WishartConfig((8.9, 16))),
     lambda: run_counterexample(CounterexampleConfig((8.5, 16, 64))),
     lambda: TheoremConfig(dims=(16.0,), kappas=(1.0,)),
-    lambda: TheoremConfig(dims=(16,), kappas=(1.0,), samples_per_cell=1e4),
-    lambda: TheoremConfig(dims=(16,), kappas=(1.0,), samples_per_cell=math.nan),
+    lambda: TheoremConfig(dims=(16,), kappas=(1.0,), samples=1e4),
+    lambda: TheoremConfig(dims=(16,), kappas=(1.0,), samples=math.nan),
     lambda: TheoremConfig(dims=(16,), kappas=(1.0,), directions=True),
     lambda: CorollaryConfig(dims=(32,), w_draws=20.5),
-    lambda: CorollaryConfig(dims=(32,), samples_per_w=1e5),
+    lambda: CorollaryConfig(dims=(32,), samples=1e5),
     lambda: WishartConfig(dims=(16,), trials=100.5, threshold=100.0, seed=1),
     lambda: CounterexampleConfig(dims=(8, 16, 64), samples=1e4, seed=1),
     lambda: run_wishart_conditioning(WishartConfig((16.0, 32))),
@@ -424,15 +423,21 @@ def test_non_integral_counts_rejected(build):
 
 
 class TestReportPlumbing:
-    def test_merge_reports_concatenates_rows(self):
-        cfg_a = TheoremConfig(dims=(8,), kappas=(1.0,), map_name="sgn",
-                              samples_per_cell=20_000, directions=8, seed=7)
-        cfg_b = TheoremConfig(dims=(8,), kappas=(1.0,), map_name="one",
-                              samples_per_cell=20_000, directions=8, seed=7)
-        merged = merge_reports([run_theorem_experiment(cfg_a),
-                                run_theorem_experiment(cfg_b)])
-        assert len(merged.select("mgf_fit:sgn")) == 1
-        assert len(merged.select("mgf_fit:one")) == 1
+    def test_maps_run_one_after_another(self):
+        # one map after another: each map's rows are those of a run of it alone
+        grid = dict(dims=(8,), kappas=(1.0,), samples=20_000, directions=8, seed=7)
+        both = run_theorem_experiment(TheoremConfig(maps=("sgn", "one"), **grid))
+        alone = [run_theorem_experiment(TheoremConfig(maps=(name,), **grid))
+                 for name in ("sgn", "one")]
+        assert both.rows == alone[0].rows + alone[1].rows
+        assert both.metadata["config"]["maps"] == ["sgn", "one"]
+
+    @pytest.mark.parametrize("maps,match", [((), "maps must not be empty"),
+                                            (("sgn", "sgnn"), "unknown map name")],
+                             ids=("empty", "unknown"))
+    def test_maps_checked_when_built(self, maps, match):
+        with pytest.raises(ValidationError, match=match):
+            TheoremConfig(dims=(8,), kappas=(1.0,), maps=maps)
 
     def test_metadata_carries_seed_and_version_hash(self):
         report = run_wishart_conditioning(WishartConfig((16,), trials=100, seed=9))
