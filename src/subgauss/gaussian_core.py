@@ -6,13 +6,11 @@ one are handled uniformly where Cholesky would fail.  A factor with one
 nonzero per row (identity, diagonal, rank-one) is applied as a column gather,
 bit-identical to the dense product.  Draws come in fixed-size chunks,
 each from its own counter-based substream, so results are bit-identical for any
-worker count.  A map given to the sampler is applied to each chunk as it is
-drawn, so a study that needs only the image phi(X) never holds X whole,
-and in tiles of the chunk's own rows, so a worker holds no chunk-sized buffer.
-`sample_centered_half` gives the second half of such a sample centered by the
-mean of the first, and frees the first half before it draws the second, so
-only one half is held at a time.  While more than one worker runs, numpy's
-bundled OpenBLAS is held at one thread, so workers and BLAS threads do not
+worker count.  A map given to the sampler maps each row on its own, and is
+applied as a chunk is drawn to tiles of at most SAMPLE_TILE of its rows, so a
+study that needs only the image phi(X) never holds X whole and a worker holds
+no chunk-sized buffer.  While more than one worker runs, numpy's bundled
+OpenBLAS is held at one thread, so workers and BLAS threads do not
 oversubscribe the cores.
 """
 
@@ -203,24 +201,16 @@ class CovarianceSpec:
         return _read_only(self.eigenvectors[:, keep] * np.sqrt(self.eigenvalues[keep]))
 
     @cached_property
-    def factor_product(self):
-        """Function z -> z @ sampling_factor.T, bit-identical to the dense product.
-
-        When the factor has one nonzero per row it is a column gather and
-        scale: every other term of the dense product is an exact zero.  That
-        covers identity and diagonal covariances, whose factor is a permutation
-        times a diagonal (tied eigenvalues are reordered), and the rank-one
-        all-ones covariance, whose factor is a single column.  np.take gathers a
-        row-major chunk; z[:, cols] would give a column-major one, slow to store.
-        """
-        if self.gather is None:
-            return lambda z: z @ self.sampling_factor.T
-        cols, scale = self.gather
-        return lambda z: np.take(z, cols, axis=1) * scale
-
-    @cached_property
     def gather(self):
-        """(cols, scale) of a sampling factor with one nonzero per row, else None."""
+        """(cols, scale) of a sampling factor with one nonzero per row, else None.
+
+        np.take(z, cols, axis=1) * scale is then bit-identical to the dense
+        z @ sampling_factor.T, whose other terms are exact zeros.  That covers
+        identity and diagonal covariances, whose factor is a permutation times a
+        diagonal (tied eigenvalues are reordered), and the rank-one all-ones
+        covariance, whose factor is one column.  np.take gathers a row-major
+        chunk; z[:, cols] would give a column-major one, slow to store.
+        """
         nonzero = self.sampling_factor != 0.0
         if not np.all(np.count_nonzero(nonzero, axis=1) == 1):
             return None
@@ -237,34 +227,32 @@ def condition_number(cov: CovarianceSpec) -> float:
     return cov.lambda_max / cov.lambda_min
 
 
-def _fill_chunks(out: np.ndarray, seed, stream_id, cov, threads: int, phi=None,
-                 first: int = 0) -> None:
+def _fill_chunks(out: np.ndarray, seed, stream_id, cov, threads: int, phi=None) -> None:
     """Standard normal chunks z, one column per column of cov's sampling factor,
-    stored as x = cov.factor_product(z), or as phi(x) on the worker that drew
-    the chunk when phi is given.  out holds the sample's rows from chunk
-    `first` on, to its last.  z is drawn into the chunk's rows of out when it
-    is as wide as they are, and phi(x) is stored SAMPLE_TILE rows at a time,
-    so a worker holds no chunk-sized buffer but a dense product's x."""
-    offset = first * CHUNK_SIZE
-    count = offset + out.shape[0]
+    stored in out as x = z @ cov.sampling_factor.T, or as phi(x) on the worker
+    that drew the chunk when phi is given.  z is drawn into the chunk's rows of
+    out when it is as wide as they are, and phi(x) is stored SAMPLE_TILE rows
+    at a time, so a worker holds no chunk-sized buffer but a dense product's x."""
+    count = out.shape[0]
     width = cov.sampling_factor.shape[1]
+    cols, scale = cov.gather or (None, None)
 
     def work(chunk_index_lo):
         chunk_index, lo = chunk_index_lo
-        rows = out[lo - offset:min(lo + CHUNK_SIZE, count) - offset]
+        rows = out[lo:lo + CHUNK_SIZE]
         # the constant 0 is part of every chunk's key; changing it changes every draw
         rng = substream(seed, stream_id, 0, chunk_index)
         z = rows if width == rows.shape[1] else np.empty((len(rows), width))
         rng.standard_normal(out=z)
         # A gather's bits do not depend on how many rows it takes, so it goes
         # a tile at a time; a dense product's can, so it takes the chunk whole.
-        x = None if cov.gather is not None else cov.factor_product(z)
+        x = z @ cov.sampling_factor.T if cols is None else None
         for a in range(0, len(rows), SAMPLE_TILE):
             tile = slice(a, a + SAMPLE_TILE)
-            x_tile = cov.factor_product(z[tile]) if x is None else x[tile]
+            x_tile = np.take(z[tile], cols, axis=1) * scale if x is None else x[tile]
             rows[tile] = x_tile if phi is None else phi(x_tile)  # z[tile] is read by now
 
-    thread_map(work, list(enumerate(range(offset, count, CHUNK_SIZE), first)), threads)
+    thread_map(work, list(enumerate(range(0, count, CHUNK_SIZE))), threads)
 
 
 def sample_gaussian(cov: CovarianceSpec, count: int, seed: int, stream_id: int,
@@ -272,40 +260,14 @@ def sample_gaussian(cov: CovarianceSpec, count: int, seed: int, stream_id: int,
     """Draw count i.i.d. N(0, Sigma) rows via the spectral factor, as a
     read-only count x n array; given phi, the image phi(X) instead.
 
-    phi maps a chunk of rows to as many rows of n values (a coordinate-wise
-    map, or a row-wise one such as x -> sgn(x @ W.T) with W n x n).  It is
-    applied chunk by chunk as the draws are made, so only the image is held
-    whole.  Deterministic per (seed, stream_id) and independent of `threads`.
+    phi maps rows of x to as many rows of n values, each row on its own (a
+    coordinate-wise map, or a row-wise one such as x -> sgn(x @ W.T) with W
+    n x n, or x -> phi(x) - mean).  It is applied as the draws are made, to
+    tiles of at most SAMPLE_TILE rows, so only the image is held whole.
+    Deterministic per (seed, stream_id) and independent of `threads`.
     Singular covariances are allowed.
     """
     check_count("count", count, 1)
     data = np.empty((count, cov.dim))
     _fill_chunks(data, seed, stream_id, cov, threads, phi)
     return _read_only(data)
-
-
-def sample_centered_half(cov: CovarianceSpec, count: int, seed: int, stream_id: int,
-                         *, threads: int = THREADS, phi=None) -> np.ndarray:
-    """Rows count // 2 on of sample_gaussian(cov, count, seed, stream_id,
-    phi=phi), centered by the mean of the rows before them, as a read-only
-    array: y[half:] - y[:half].mean(axis=0) for that sample y, bit for bit.
-
-    The whole sample is never held.  The chunks that hold the first half are
-    sampled first; they give the mean and the rest of their rows, and are
-    freed before the later chunks are drawn into the result, which is then
-    centered in place.  Every chunk is drawn whole, as in the full sample, so
-    its rows keep their bits.
-    """
-    check_count("count", count, 2)
-    half = count // 2
-    chunks = -(-half // CHUNK_SIZE)  # the chunks holding the first half
-    head = sample_gaussian(cov, min(chunks * CHUNK_SIZE, count), seed, stream_id,
-                           threads=threads, phi=phi)
-    mean = head[:half].mean(axis=0)
-    rest = head[half:].copy()  # less than a chunk
-    del head
-    out = np.empty((count - half, cov.dim))
-    out[:len(rest)] = rest
-    _fill_chunks(out[len(rest):], seed, stream_id, cov, threads, phi, first=chunks)
-    out -= mean
-    return _read_only(out)

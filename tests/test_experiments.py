@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subgauss import psi2_estimation
+from subgauss import experiments, psi2_estimation
 from subgauss.errors import DimensionTooSmall, DomainError, ValidationError
 from subgauss.experiments import (
     CorollaryConfig,
@@ -25,7 +25,6 @@ from subgauss.experiments import (
 from subgauss.gaussian_core import (
     CovarianceSpec,
     condition_number,
-    sample_centered_half,
     sample_gaussian,
     substream,
 )
@@ -211,6 +210,23 @@ class TestTheoremExperiment:
         finally:
             tracemalloc.stop()
         assert peak < 0.75 * rows * n * 8
+
+    def test_each_cell_centers_by_an_independent_half(self, monkeypatch):
+        # two draws a cell, the centering half first, each from a stream of its own
+        calls = []
+
+        def recording(cov, count, seed, stream_id, **kwargs):
+            calls.append((count, seed, stream_id))
+            return sample_gaussian(cov, count, seed, stream_id, **kwargs)
+
+        monkeypatch.setattr(experiments, "sample_gaussian", recording)
+        samples = 20_001
+        cfg = TheoremConfig(dims=(8, 16), kappas=(1.0, 4.0), maps=("sgn", "clamp"),
+                            samples=samples, directions=0, seed=2)
+        run_theorem_experiment(cfg, threads=1)
+        assert [count for count, _, _ in calls] == [samples // 2, samples - samples // 2] * 8
+        streams = [(seed, stream_id) for _, seed, stream_id in calls]
+        assert len(set(streams)) == len(streams)
 
 
 class TestConditionalHoeffding:
@@ -407,14 +423,13 @@ class TestCounterexample:
     lambda: CounterexampleConfig(dims=(8, 16, 64), samples=1e4, seed=1),
     lambda: run_wishart_conditioning(WishartConfig((16.0, 32))),
     lambda: sample_gaussian(CovarianceSpec.identity(4), 1e4, 0, 0),
-    lambda: sample_centered_half(CovarianceSpec.identity(4), 2e4, 0, 0),
     lambda: scan_directions(np.ones((2000, 3)), 2.5, 0, 0),
 ], ids=["theorem-dims", "theorem-directions", "corollary-dims", "corollary-directions",
         "wishart-dims", "counterexample-dims", "run_wishart", "run_counterexample",
         "theorem-float-dims", "theorem-float-samples", "theorem-nan-samples",
         "theorem-bool-directions", "corollary-w-draws", "corollary-float-samples",
         "wishart-trials", "counterexample-float-samples", "run_wishart-float-dims",
-        "sample_gaussian", "sample_centered_half", "scan_directions"])
+        "sample_gaussian", "scan_directions"])
 def test_non_integral_counts_rejected(build):
     # a float, even a whole one, or a bool is no count: a study would truncate
     # it, or fail deep inside with a TypeError
@@ -444,4 +459,11 @@ class TestReportPlumbing:
         assert report.metadata["seed"] == 9
         assert report.metadata["config"] == {"dims": [16], "trials": 100, "threshold": 100.0}
         assert len(report.metadata["artifact_version"]) == 12
-        assert "kappa_exceedance_threshold_note" in report.metadata
+        assert "kappa > 100 " in report.metadata["kappa_exceedance_threshold_note"]
+
+    def test_threshold_note_names_the_threshold_used(self):
+        report = run_wishart_conditioning(WishartConfig((16,), trials=100, threshold=50.0))
+        assert "kappa > 50 " in report.metadata["kappa_exceedance_threshold_note"]
+        theorem = run_theorem_experiment(TheoremConfig(
+            dims=(8,), kappas=(1.0,), maps=("one",), samples=10_000, directions=0))
+        assert "kappa_exceedance_threshold_note" not in theorem.metadata

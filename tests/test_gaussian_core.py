@@ -11,7 +11,6 @@ from subgauss.gaussian_core import (
     CovarianceSpec,
     _malloc_trim,
     condition_number,
-    sample_centered_half,
     sample_gaussian,
     subseed,
     substream,
@@ -235,7 +234,7 @@ class TestTiledChunks:
         chunks = []
         for c, lo in enumerate(range(0, count, CHUNK_SIZE)):
             z = substream(6, 3, 0, c).standard_normal((min(CHUNK_SIZE, count - lo), width))
-            x = cov.factor_product(z)
+            x = z @ cov.sampling_factor.T
             chunks.append(x if phi is None else phi(x))
         y = sample_gaussian(cov, count, 6, 3, threads=threads, phi=phi)
         assert np.array_equal(y.view(np.uint64), np.concatenate(chunks).view(np.uint64))
@@ -245,7 +244,7 @@ class TestTiledChunks:
         import tracemalloc
 
         cov = CovarianceSpec.identity(256)
-        cov.factor_product  # noqa: B018  (built before the trace)
+        cov.gather  # noqa: B018  (built before the trace)
         chunk_bytes = CHUNK_SIZE * 256 * 8
         tracemalloc.start()
         try:
@@ -259,8 +258,9 @@ class TestTiledChunks:
         assert _malloc_trim(0) in (0, 1)
 
 
-class TestCenteredHalf:
-    """sample_centered_half holds one half at a time, with the full sample's bits."""
+class TestCenteringMap:
+    """A map that subtracts a mean draws the centered image, with the bits of
+    the image less the mean."""
 
     @pytest.mark.parametrize("threads", (1, 2, 3))
     @pytest.mark.parametrize("count", (
@@ -270,38 +270,44 @@ class TestCenteredHalf:
         3 * CHUNK_SIZE + 17,     # odd
     ), ids=("one-chunk", "half-inside-a-chunk", "half-on-a-boundary", "odd"))
     @pytest.mark.parametrize("phi", (np.sign, get_map("clamp")), ids=("sgn", "clamp"))
-    def test_equals_the_centered_second_half(self, phi, count, threads):
-        # clamp's sums are inexact, so the mean must be summed as numpy sums the
-        # stored half; a dense factor's product must see whole chunks
+    def test_equals_the_image_less_the_mean(self, phi, count, threads):
+        # the mean of an independent half, as the theorem study centers; clamp's
+        # sums are inexact, and a dense factor's product must see whole chunks
         for cov in (CovarianceSpec.identity(256), wishart_spec(16, 32, seed=3)):
-            y = sample_gaussian(cov, count, 5, 2, threads=threads, phi=phi)
             half = count // 2
-            centered = sample_centered_half(cov, count, 5, 2, threads=threads, phi=phi)
-            assert np.array_equal(centered, y[half:] - y[:half].mean(axis=0))
+            m = sample_gaussian(cov, half, 5, 9, threads=threads, phi=phi).mean(axis=0)
+            y = sample_gaussian(cov, count - half, 5, 2, threads=threads, phi=phi)
+            centered = sample_gaussian(cov, count - half, 5, 2, threads=threads,
+                                       phi=lambda x: phi(x) - m)
+            assert np.array_equal(centered.view(np.uint64), (y - m).view(np.uint64))
             assert not centered.flags.writeable
 
-    def test_count_validation(self):
-        with pytest.raises(ValidationError, match="count"):
-            sample_centered_half(CovarianceSpec.identity(2), 1, seed=0, stream_id=0)
+
+# the one case whose sampling factor has more than one nonzero in a row
+DENSE_FACTOR = lambda n: wishart_spec(n, n, seed=13)  # noqa: E731
 
 
 class TestFactorProduct:
-    """The structured products are bit-identical to the dense z @ factor.T."""
+    """A gather is bit-identical to the dense z @ factor.T."""
 
     @pytest.mark.parametrize("make, n", [
         (CovarianceSpec.identity, 16), (CovarianceSpec.identity, 256),
         (CovarianceSpec.rank_one_ones, 16), (CovarianceSpec.rank_one_ones, 64),
         (CovarianceSpec.rank_one_ones, 256),
         (lambda n: CovarianceSpec.from_matrix(np.diag(np.arange(1.0, n + 1.0))), 16),
-        (lambda n: wishart_spec(n, n, seed=13), 16),
+        (DENSE_FACTOR, 16),
     ])
     def test_matches_dense_product(self, make, n):
         cov = make(n)
+        assert (cov.gather is None) == (make is DENSE_FACTOR)
+        if cov.gather is None:
+            return
+        cols, scale = cov.gather
         width = cov.sampling_factor.shape[1]
         z = substream(14, "factor-product", n).standard_normal((CHUNK_SIZE, width))
-        x = cov.factor_product(z)
+        x = np.take(z, cols, axis=1) * scale
         np.testing.assert_array_equal(x, z @ cov.sampling_factor.T)
-        assert x.flags.c_contiguous  # a gather too: row chunks are scaled, mapped, stored
+        assert x.flags.c_contiguous  # row tiles are scaled, mapped, stored
 
     @pytest.mark.parametrize("make", [
         lambda: CovarianceSpec.identity(8),
