@@ -28,9 +28,9 @@ import numpy as np
 
 from .errors import SingularCovariance, ValidationError, check_count
 
-# Numerical contract constants.
-SYMMETRY_TOL = 1e-10     # max abs asymmetry accepted at construction
-DECOMP_TOL = 1e-8        # max abs residual of the cached eigendecomposition
+# Numerical contract constants; the first three are multiplied by a matrix's _scale.
+SYMMETRY_TOL = 1e-10     # max asymmetry accepted at construction
+DECOMP_TOL = 1e-8        # max residual of a computed eigendecomposition
 PSD_TOL = 1e-10          # eigenvalues below -PSD_TOL are rejected, above are clamped to 0
 SINGULARITY_REL = 1e-12  # lambda_min <= SINGULARITY_REL * lambda_max counts as singular
 
@@ -66,6 +66,24 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     """a, with writing switched off."""
     a.setflags(write=False)
     return a
+
+
+def _scale(m: np.ndarray) -> float:
+    """max(1, max |m_ij|), so no tolerance is looser for entries at most 1 in size."""
+    return float(np.max(np.abs(m), initial=1.0))
+
+
+def _symmetric(matrix) -> np.ndarray:
+    """matrix made exactly symmetric, once checked square, finite and nearly symmetric."""
+    m = np.array(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValidationError(f"matrix must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("matrix entries must be finite")
+    asym = float(np.max(np.abs(m - m.T), initial=0.0))
+    if asym > SYMMETRY_TOL * _scale(m):
+        raise ValidationError(f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e} x scale")
+    return (m + m.T) / 2.0
 
 
 @cache
@@ -115,7 +133,7 @@ def thread_map(work, jobs, threads: int) -> list:
 
 @dataclass(frozen=True)
 class CovarianceSpec:
-    """Symmetric PSD matrix with its cached eigendecomposition.
+    """A sampler's covariance: a symmetric PSD matrix with its cached eigendecomposition.
 
     eigenvalues are stored nonincreasing; eigenvectors columns match them.
     """
@@ -127,15 +145,13 @@ class CovarianceSpec:
 
     @classmethod
     def from_matrix(cls, matrix) -> "CovarianceSpec":
-        m = np.array(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(f"covariance must be square, got shape {m.shape}")
-        asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
-        if asym > SYMMETRY_TOL:
-            raise ValidationError(f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
-        sym = (m + m.T) / 2.0
+        sym = _symmetric(matrix)
         w, q = np.linalg.eigh(sym)
         w, q = w[::-1].copy(), q[:, ::-1].copy()
+        resid = float(np.max(np.abs(sym - (q * w) @ q.T)))
+        if resid > DECOMP_TOL * _scale(sym):
+            raise ValidationError(
+                f"decomposition residual {resid:.3e} exceeds {DECOMP_TOL:.0e} x scale")
         return cls._build(sym, w, q)
 
     @classmethod
@@ -143,6 +159,8 @@ class CovarianceSpec:
         """Construct from a known decomposition, skipping the eigensolver."""
         q = np.array(eigenvectors, dtype=float)
         w = np.array(eigenvalues, dtype=float)
+        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(w))):
+            raise ValidationError("eigenvectors and eigenvalues must be finite")
         ortho = float(np.max(np.abs(q.T @ q - np.eye(q.shape[1]))))
         if ortho > SYMMETRY_TOL:
             raise ValidationError(f"eigenvector orthogonality defect {ortho:.3e}")
@@ -153,16 +171,12 @@ class CovarianceSpec:
 
     @classmethod
     def _build(cls, sym, w, q) -> "CovarianceSpec":
-        if w.size and w[-1] < -PSD_TOL:
+        if w.size and w[-1] < -PSD_TOL * _scale(sym):
             raise ValidationError(
-                f"matrix is not PSD: smallest eigenvalue {w[-1]:.3e} < -{PSD_TOL:.0e}")
-        w = np.clip(w, 0.0, None)
-        resid = float(np.max(np.abs(sym - (q * w) @ q.T)))
-        if resid > DECOMP_TOL:
-            raise ValidationError(f"decomposition residual {resid:.3e} exceeds {DECOMP_TOL:.0e}")
+                f"matrix is not PSD: smallest eigenvalue {w[-1]:.3e} < -{PSD_TOL:.0e} x scale")
         # every caller passes arrays of its own, so none is copied
-        return cls(dim=sym.shape[0], matrix=_read_only(sym), eigenvalues=_read_only(w),
-                   eigenvectors=_read_only(q))
+        return cls(dim=sym.shape[0], matrix=_read_only(sym),
+                   eigenvalues=_read_only(np.clip(w, 0.0, None)), eigenvectors=_read_only(q))
 
     # Common constructors ---------------------------------------------------
 
@@ -174,30 +188,11 @@ class CovarianceSpec:
     def rank_one_ones(cls, n: int) -> "CovarianceSpec":
         return cls.from_matrix(np.ones((n, n)))
 
-    @classmethod
-    def wishart_of(cls, w_matrix) -> "CovarianceSpec":
-        w_matrix = np.asarray(w_matrix, dtype=float)
-        return cls.from_matrix(w_matrix @ w_matrix.T)
-
-    # Spectral quantities ----------------------------------------------------
-
-    @property
-    def lambda_max(self) -> float:
-        return float(self.eigenvalues[0])
-
-    @property
-    def lambda_min(self) -> float:
-        return float(self.eigenvalues[-1])
-
-    @property
-    def is_singular(self) -> bool:
-        return self.lambda_min <= SINGULARITY_REL * self.lambda_max
-
     @cached_property
     def sampling_factor(self) -> np.ndarray:
         # n x rank: eigenvalues at or below the singularity threshold count as
         # exact zeros, so singular covariances produce exactly degenerate samples.
-        keep = self.eigenvalues > SINGULARITY_REL * self.lambda_max
+        keep = self.eigenvalues > SINGULARITY_REL * self.eigenvalues[0]
         return _read_only(self.eigenvectors[:, keep] * np.sqrt(self.eigenvalues[keep]))
 
     @cached_property
@@ -218,13 +213,13 @@ class CovarianceSpec:
         return cols, self.sampling_factor[np.arange(self.dim), cols]
 
 
-def condition_number(cov: CovarianceSpec) -> float:
-    """Ratio of the extreme eigenvalues, lambda_max / lambda_min."""
-    if cov.is_singular:
+def condition_number(matrix) -> float:
+    """lambda_max / lambda_min of a symmetric PSD matrix, from its eigenvalues alone."""
+    w = np.linalg.eigvalsh(_symmetric(matrix))
+    if w[0] <= SINGULARITY_REL * w[-1]:
         raise SingularCovariance(
-            f"lambda_min={cov.lambda_min:.3e} at or below threshold "
-            f"{SINGULARITY_REL:.0e} * lambda_max={cov.lambda_max:.3e}")
-    return cov.lambda_max / cov.lambda_min
+            f"lambda_min={w[0]:.3e} at or below {SINGULARITY_REL:.0e} * lambda_max={w[-1]:.3e}")
+    return float(w[-1] / w[0])
 
 
 def _fill_chunks(out: np.ndarray, seed, stream_id, cov, threads: int, phi=None) -> None:

@@ -309,6 +309,8 @@ class TestParameterTable:
         ["counterexample", "--dims", "0,8,64"],
         ["counterexample", "--dims=-1,8,64"],
         ["theorem", "--threads", "0"],
+        ["counterexample", "--dims", "16,16,128"],
+        ["theorem", "--dims", "4,4,8", "--kappas", "1,1"],
     ])
     def test_precondition_exits_64_before_any_study(self, args, tmp_path):
         out = tmp_path / "out"

@@ -47,6 +47,11 @@ class TestSigmaSqBound:
         with pytest.raises(DomainError):
             sigma_sq_bound(0.5)
 
+    @pytest.mark.parametrize("kappa", (math.nan, math.inf))
+    def test_non_finite_rejected(self, kappa):
+        with pytest.raises(DomainError):
+            sigma_sq_bound(kappa)
+
     @given(kappa=st.floats(min_value=1.0, max_value=1e4))
     @settings(max_examples=50, deadline=None)
     def test_dominated_by_four_kappa(self, kappa):
@@ -65,7 +70,7 @@ class TestMakeConditionedCovariance:
 
     def test_condition_number_hits_target(self):
         cov = make_conditioned_covariance(4, 9.0, seed=1)
-        assert abs(condition_number(cov) - 9.0) <= 1e-9 * 9.0
+        assert abs(condition_number(cov.matrix) - 9.0) <= 1e-9 * 9.0
 
     def test_orthogonal_factor(self):
         cov = make_conditioned_covariance(16, 7.0, seed=2)
@@ -80,6 +85,11 @@ class TestMakeConditionedCovariance:
     def test_kappa_below_one_rejected(self):
         with pytest.raises(DomainError):
             make_conditioned_covariance(4, 0.9, seed=0)
+
+    @pytest.mark.parametrize("kappa", (math.nan, math.inf))
+    def test_non_finite_kappa_rejected(self, kappa):
+        with pytest.raises(DomainError):
+            make_conditioned_covariance(4, kappa, seed=0)
 
 
 class TestPartitionRows:
@@ -352,6 +362,20 @@ class TestWishartConditioning:
                 WishartConfig(dims=dims, trials=100, threshold=100.0, seed=0)
         WishartConfig(dims=(2,), trials=100, threshold=100.0, seed=0)
 
+    @pytest.mark.parametrize("seed", (1, 2))
+    def test_kappas_match_singular_values(self, seed):
+        # oracle: kappa(W1 W1^T) = (s_max / s_min)^2, from an SVD of each
+        # trial's own half block
+        kappas = []
+        for t in range(100):
+            w1 = substream(seed, "wishart", 64, t).standard_normal((32, 64))
+            s = np.linalg.svd(w1, compute_uv=False)
+            kappas.append((s[0] / s[-1]) ** 2)
+        report = run_wishart_conditioning(WishartConfig((64,), trials=100, seed=seed))
+        values = {r.estimator: r.value for r in report.rows}
+        for name, q in (("kappa_median", 50), ("kappa_p05", 5), ("kappa_p95", 95)):
+            assert values[name] == pytest.approx(np.percentile(kappas, q), rel=1e-9, abs=0)
+
     def test_determinism(self):
         a = run_wishart_conditioning(WishartConfig((32,), trials=100, seed=3))
         b = run_wishart_conditioning(WishartConfig((32,), trials=100, seed=3))
@@ -434,6 +458,18 @@ def test_non_integral_counts_rejected(build):
     # a float, even a whole one, or a bool is no count: a study would truncate
     # it, or fail deep inside with a TypeError
     with pytest.raises(ValidationError, match="integer"):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TheoremConfig(dims=(4, 4, 8)),
+    lambda: TheoremConfig(kappas=(1.0, 1)),
+    lambda: TheoremConfig(maps=("sgn", "clamp", "sgn")),
+    lambda: CounterexampleConfig(dims=(16, 16, 128)),
+], ids=["dims", "kappas", "maps", "counterexample-dims"])
+def test_repeated_grid_value_rejected(build):
+    # a repeat would run a cell twice and write its rows twice
+    with pytest.raises(ValidationError, match="must not repeat"):
         build()
 
 

@@ -20,7 +20,7 @@ from subgauss.nonlinearity import get_map
 
 def wishart_spec(m, n, seed=0):
     w = substream(seed, "test-wishart").standard_normal((m, n))
-    return CovarianceSpec.wishart_of(w)
+    return CovarianceSpec.from_matrix(w @ w.T)
 
 
 class TestCovarianceSpec:
@@ -46,7 +46,7 @@ class TestCovarianceSpec:
     def test_small_negative_eigenvalues_clamped(self):
         m = np.eye(2) * 1e-12 - 1e-11 * np.ones((2, 2))
         cov = CovarianceSpec.from_matrix(m)
-        assert cov.lambda_min >= 0.0
+        assert cov.eigenvalues[-1] >= 0.0
 
     def test_diagonal_constructor(self):
         cov = CovarianceSpec.from_matrix(np.diag([1.0, 4.0]))
@@ -76,11 +76,43 @@ class TestCovarianceSpec:
         with pytest.raises(ValidationError, match="orthogonality"):
             CovarianceSpec.from_factors([[1.0, 0.5], [0.0, 1.0]], [1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_non_finite_matrix_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            CovarianceSpec.from_matrix([[bad, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_non_finite_factors_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            CovarianceSpec.from_factors(np.eye(2), [bad, 1.0])
+        with pytest.raises(ValidationError, match="finite"):
+            CovarianceSpec.from_factors([[bad, 0.0], [0.0, 1.0]], [1.0, 1.0])
+
+    def test_large_matrix_accepted(self):
+        # entries near 1e8: absolute residuals near 1e-7 are rounding alone
+        cov = wishart_spec(64, 128, seed=8)
+        assert CovarianceSpec.from_matrix(1e6 * cov.matrix).dim == 64
+
+    def test_large_factors_accepted(self):
+        q = np.linalg.qr(substream(9, "large-factors").standard_normal((64, 64)))[0]
+        cov = CovarianceSpec.from_factors(q, 1e8 * np.geomspace(16.0, 1.0, 64))
+        assert cov.eigenvalues[0] == 1.6e9
+
+    @pytest.mark.parametrize("c", (1e-6, 1e6))
+    def test_sampling_factor_scales(self, c):
+        base = wishart_spec(64, 128, seed=8)
+        f0 = base.sampling_factor
+        f = CovarianceSpec.from_matrix(c * base.matrix).sampling_factor
+        f = f * np.sign(np.sum(f * f0, axis=0))  # eigenvector signs are arbitrary
+        np.testing.assert_allclose(f, np.sqrt(c) * f0, rtol=0,
+                                   atol=1e-9 * np.sqrt(c) * np.abs(f0).max())
+
     def test_low_rank_wishart(self):
         # W W^T of an 8 x 3 W has rank 3: singular, with a 3-column factor
-        cov = CovarianceSpec.wishart_of(substream(5, "low-rank").standard_normal((8, 3)))
+        w = substream(5, "low-rank").standard_normal((8, 3))
+        cov = CovarianceSpec.from_matrix(w @ w.T)
         assert cov.dim == 8
-        assert cov.is_singular
+        assert cov.eigenvalues[-1] <= 1e-12 * cov.eigenvalues[0]
         assert cov.sampling_factor.shape == (8, 3)
 
     @pytest.mark.parametrize("make, singular", [
@@ -90,7 +122,12 @@ class TestCovarianceSpec:
         (lambda: CovarianceSpec.from_matrix(np.zeros((3, 3))), True),
     ], ids=("identity", "diagonal", "rank-one", "zero"))
     def test_is_singular(self, make, singular):
-        assert make().is_singular is singular
+        matrix = make().matrix
+        if singular:
+            with pytest.raises(SingularCovariance):
+                condition_number(matrix)
+        else:
+            assert np.isfinite(condition_number(matrix))
 
     @pytest.mark.parametrize("n", (2, 16, 64, 256))
     def test_identity_matrix_is_exact(self, n):
@@ -105,24 +142,38 @@ class TestCovarianceSpec:
 
 class TestConditionNumber:
     def test_identity(self):
-        assert condition_number(CovarianceSpec.identity(3)) == 1.0
+        assert condition_number(np.eye(3)) == 1.0
 
     def test_diagonal(self):
-        cov = CovarianceSpec.from_matrix(np.diag([1.0, 4.0]))
-        assert condition_number(cov) == pytest.approx(4.0)
+        assert condition_number(np.diag([1.0, 4.0])) == pytest.approx(4.0)
 
     def test_rank_one_singular(self):
         with pytest.raises(SingularCovariance):
-            condition_number(CovarianceSpec.rank_one_ones(2))
+            condition_number(np.ones((2, 2)))
 
     @given(c=st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=25, deadline=None)
     def test_scale_invariance(self, c):
-        base = wishart_spec(6, 12, seed=3)
-        scaled = CovarianceSpec.from_matrix(c * base.matrix)
+        base = wishart_spec(6, 12, seed=3).matrix
         k0 = condition_number(base)
-        k1 = condition_number(scaled)
+        k1 = condition_number(c * base)
         assert abs(k1 - k0) <= 1e-9 * k0
+
+    @pytest.mark.parametrize("shape", ((3,), (2, 3), (2, 2, 2)))
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValidationError, match="square"):
+            condition_number(np.zeros(shape))
+
+    def test_asymmetric_rejected(self):
+        m = np.eye(3)
+        m[0, 1] = 1e-6
+        with pytest.raises(ValidationError, match="asymmetry"):
+            condition_number(m)
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            condition_number(np.diag([bad, 1.0]))
 
 
 class TestSampleGaussian:
@@ -319,7 +370,7 @@ class TestFactorProduct:
     def test_factor_reconstructs_matrix(self, make):
         cov = make()
         f = cov.sampling_factor
-        np.testing.assert_allclose(f @ f.T, cov.matrix, atol=1e-10 * max(cov.lambda_max, 1.0))
+        np.testing.assert_allclose(f @ f.T, cov.matrix, atol=1e-10 * max(cov.eigenvalues[0], 1.0))
 
     def test_rank_one_factor_is_one_column(self):
         assert CovarianceSpec.rank_one_ones(64).sampling_factor.shape == (64, 1)
