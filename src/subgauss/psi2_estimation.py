@@ -25,14 +25,13 @@ quadratic in the bin width and below the bootstrap noise: 4096 bins gave the
 coverage of 256.
 
 Vector norm: maximum of the scalar norm over a declared direction set
-(canonical basis + normalized all-ones + seeded random unit vectors).  The
-search is a lower bound on the true supremum over the sphere and is reported
-with its direction count.  One entry, `scan_directions`, runs every such
-scan on a rows x n array: it projects the directions in blocks of bounded
-memory (a block of canonical directions only by copying y's columns),
-draws one block resample for the whole scan, compresses and weights each
-projection once for both estimates, solves a block's roots in cache-sized
-groups of directions and spreads the blocks over worker threads.
+(canonical basis + normalized all-ones + seeded random unit vectors), a
+lower bound on the supremum over the sphere reported with its direction
+count.  One entry, `scan_directions`, runs every such scan on a rows x n
+array, for one or more column ranges (parts) of it at once: one block
+resample for the whole scan, each canonical direction scanned once, each
+projection compressed and weighted once for both estimates, in blocks of
+directions of bounded memory spread over worker threads.
 
 Every norm estimate is one `Psi2Estimate`.  With a lambda grid it holds the
 MGF variance proxy sigma `mgf_sigma` fits (a scan's is the largest over its
@@ -294,15 +293,10 @@ def mgf_sigma(x: np.ndarray, lambda_grid, support) -> float:
 def direction_set(n: int, n_random: int, rng: np.random.Generator) -> np.ndarray:
     """Rows: n canonical basis vectors, all-ones / sqrt(n), n_random unit vectors.
 
-    Random vectors are drawn sequentially so a larger budget extends the set.
+    Random vectors are drawn row after row, so a larger budget extends the set.
     """
-    rows = [np.eye(n), np.ones((1, n)) / math.sqrt(n)]
-    randoms = np.empty((n_random, n))
-    for i in range(n_random):
-        v = rng.standard_normal(n)
-        randoms[i] = v / np.linalg.norm(v)
-    rows.append(randoms)
-    return np.vstack(rows)
+    randoms = [v / np.linalg.norm(v) for v in rng.standard_normal((n_random, n))]
+    return np.vstack([np.eye(n), np.ones((1, n)) / math.sqrt(n), *randoms])
 
 
 def _project(y: np.ndarray, dirs: np.ndarray, block: range) -> np.ndarray:
@@ -320,36 +314,46 @@ def _project(y: np.ndarray, dirs: np.ndarray, block: range) -> np.ndarray:
     return proj
 
 
-def scan_directions(y, n_random: int, seed: int, stream_id: int,
-                    *, lambda_grid=None, threads: int = THREADS) -> Psi2Estimate:
-    """Max bootstrap Orlicz estimate of the projections y @ v over the canonical
-    + all-ones + n_random random direction set, as a Psi2Estimate holding its
-    interval, the rows of y, the direction count and the argmax direction; with
-    a lambda grid, its mgf_sigma_max is the max fitted MGF sigma over the same
-    set, and without one it is None.  y is a rows x n array, used uncentered.
+def scan_directions(y, n_random: int, seed: int, stream_id: int, *, parts=None,
+                    lambda_grid=None, threads: int = THREADS) -> tuple:
+    """Max bootstrap Orlicz estimate of the projections y @ v over each part's
+    canonical + all-ones + n_random random directions: one Psi2Estimate per
+    part, with its interval, the rows of y, its direction count and argmax
+    direction (as wide as the part), and with a lambda grid the max fitted
+    MGF sigma over the same set (else None).  y is a rows x n array, used
+    uncentered; `parts` is a tuple of column ranges, by default (range(n),).
 
-    The set is drawn from substream(seed, stream_id, 201), and the scan's one
-    block draw M from substream(seed, stream_id, 202) before any block goes to
-    a worker; every direction's weights are M times its own block counts, so
-    they do not depend on the budget and the estimate does not fall as the
-    budget grows.  Each projection is compressed and weighted once: its
-    Orlicz estimate and its MGF fit read the same weights, the MGF on the
-    representatives shifted by the projection's mean.
+    The parts share one scan: y's n canonical directions once, then each
+    part's all-ones and random directions, zero-padded to n and drawn part
+    after part from substream(seed, stream_id, 201).  Every direction is
+    weighted by the one block draw M from substream(seed, stream_id, 202),
+    made before any block goes to a worker, times its own block counts: the
+    parts share their resamples, and no direction's estimate depends on the
+    budget.  A projection's Orlicz estimate and MGF fit read one compression
+    and one set of weights (the MGF on representatives shifted by its mean).
 
-    Directions go in fixed blocks whose working set fits SCAN_BLOCK_BYTES, so
-    the full rows x directions projection is never built; `_project` projects
-    each block, reading y in place even when it is a column slice of a wider
-    array.  Blocks run on `threads` workers and are reduced in direction
-    order, the first maximum winning ties: the result is the same for any
-    thread count.  (A block's product can round its last bits differently when
-    its width changes, which only the last block of a smaller budget sees.)
+    Directions go in fixed blocks whose working set fits SCAN_BLOCK_BYTES,
+    each projected by `_project` (which reads y in place, a column slice of a
+    wider array included) on one of `threads` workers.  Each part reduces over
+    its canonical columns, then its own directions, the first maximum winning
+    ties, so the result is the same for any thread count.  (A block's product
+    can round its last bits differently when its width changes, which only
+    the last block of a smaller budget sees.)
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2 or 0 in y.shape:
         raise ValidationError(f"need a 2-D sample with rows and columns, got shape {y.shape}")
     check_count("n_random", n_random, 0)
     rows, n = y.shape
-    dirs = direction_set(n, n_random, substream(seed, stream_id, _TAG_SCAN_DIRS))
+    parts = (range(n),) if parts is None else parts
+    if not (isinstance(parts, tuple) and parts and all(
+            isinstance(p, range) and p.step == 1 and 0 <= p.start < p.stop <= n for p in parts)):
+        raise ValidationError(
+            f"parts must be non-empty step-1 column ranges in [0, {n}), got {parts!r}")
+    rng = substream(seed, stream_id, _TAG_SCAN_DIRS)
+    dirs = np.vstack([np.eye(n), *(  # each part's all-ones and random directions, zero-padded
+        np.pad(direction_set(len(p), n_random, rng)[len(p):], ((0, 0), (p.start, n - p.stop)))
+        for p in parts)])
     # Only the projection is bounded by this size; the 6 * RESAMPLES * BINS
     # term stays because the block boundaries fix the bits of the dense
     # product of the block that spans the canonical/all-ones edge.
@@ -368,9 +372,13 @@ def scan_directions(y, n_random: int, seed: int, stream_id: int,
 
     results = thread_map(work, blocks, threads)
     estimates = np.concatenate([est for est, _ in results])
-    best = int(np.argmax(estimates[:, 0]))
-    value, lo, hi = (float(v) for v in estimates[best])
     sigmas = [sigma for _, block_sigmas in results for sigma in block_sigmas]
-    return Psi2Estimate(value=value, ci_low=lo, ci_high=hi, n_samples=rows,
-                        n_directions=len(dirs), argmax_direction=dirs[best].copy(),
-                        mgf_sigma_max=max(sigmas) if lambda_grid is not None else None)
+    scans, extra = [], 1 + n_random
+    for i, part in enumerate(parts):  # its canonical columns, then its own directions
+        own = [*part, *range(n + i * extra, n + (i + 1) * extra)]
+        best = own[int(np.argmax(estimates[own, 0]))]
+        scans.append(Psi2Estimate(  # value, ci_low, ci_high
+            *map(float, estimates[best]), n_samples=rows, n_directions=len(own),
+            argmax_direction=dirs[best, part.start:part.stop].copy(),
+            mgf_sigma_max=max(sigmas[j] for j in own) if lambda_grid is not None else None))
+    return tuple(scans)

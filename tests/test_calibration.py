@@ -120,7 +120,7 @@ class TestPointSupports:
     def test_rank_one_sign_projection(self, n):
         y = np.sign(sample_gaussian(CovarianceSpec.rank_one_ones(n), 10**4, seed=5,
                                     stream_id=0))
-        est = scan_directions(y, 0, 5, 0)
+        (est,) = scan_directions(y, 0, 5, 0)
         self.assert_holds(est.value, est.ci_low, est.ci_high, rank_one_psi2(n))
 
 

@@ -190,12 +190,17 @@ class TestRunCli:
         b = (tmp_path / "b" / "counterexample.csv").read_bytes()
         assert a == b
 
-    def test_theorem_byte_identical_across_threads(self, tmp_path):
-        args = ["theorem", "--maps", "sgn,clamp", "--dims", "4,16", "--kappas", "4",
-                "--samples", "10000", "--seed", "3"]
+    @pytest.mark.parametrize("args", (
+        ["theorem", "--maps", "sgn,clamp", "--dims", "4,16", "--kappas", "4",
+         "--samples", "10000", "--seed", "3"],
+        ["corollary", "--dims", "8,16", "--w-draws", "20", "--samples", "10000",
+         "--directions", "8", "--seed", "3"],
+    ), ids=("theorem", "corollary"))
+    def test_reports_byte_identical_across_threads(self, args, tmp_path):
         for threads in ("1", "3"):
             assert run_cli(args + ["--threads", threads, "--out", str(tmp_path / threads)]) in (0, 1)
-        for name in ("theorem.csv", "theorem_curves.csv"):
+        for suffix in (".csv", "_curves.csv"):
+            name = args[0] + suffix
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
 
     def test_seed_changes_output(self, tmp_path):

@@ -314,6 +314,19 @@ class TestCorollaryExperiment:
         again = run_corollary_experiment(cfg)
         assert [r.as_dict() for r in again.rows] == [r.as_dict() for r in report.rows]
 
+    def test_one_scan_per_w_draw(self, monkeypatch):
+        # both blocks and the full vector are parts of one scan of the sample
+        calls = []
+
+        def scan(y, *args, **kwargs):
+            calls.append((args[2], kwargs["parts"]))
+            return scan_directions(y, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "scan_directions", scan)
+        run_corollary_experiment(CorollaryConfig(dims=(9,), w_draws=20, samples=10_000,
+                                                 directions=2, seed=1))
+        assert calls == [(w, (range(4), range(4, 9), range(9))) for w in range(20)]
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             CorollaryConfig(dims=(8,), w_draws=5)

@@ -286,9 +286,9 @@ class TestRootGroups:
         # directions share a default group, its random ones solve alone
         y = np.sign(substream(16, "groups-scan").standard_normal((2 * 10**4, 8)))
         grid = [0.25, 0.5, 1.0]
-        default = scan_directions(y, 24, 5, 0, lambda_grid=grid, threads=1)
+        (default,) = scan_directions(y, 24, 5, 0, lambda_grid=grid, threads=1)
         monkeypatch.setattr(psi2_estimation, "ROOT_GROUP_CELLS", 1)
-        alone = scan_directions(y, 24, 5, 0, lambda_grid=grid, threads=threads)
+        (alone,) = scan_directions(y, 24, 5, 0, lambda_grid=grid, threads=threads)
         assert (alone.value, alone.ci_low, alone.ci_high, alone.mgf_sigma_max) == (
             default.value, default.ci_low, default.ci_high, default.mgf_sigma_max)
         np.testing.assert_array_equal(alone.argmax_direction, default.argmax_direction)
@@ -354,14 +354,14 @@ class TestPsi2Vector:
 
     def test_rademacher_coordinates_n16(self):
         y = np.where(substream(42, "vec-rad").random((10**5, 16)) < 0.5, -1.0, 1.0)
-        est = scan_directions(y, 16, 9, 0)
+        (est,) = scan_directions(y, 16, 9, 0)
         assert 1.0 <= est.value <= 1.6
         assert est.n_directions == 16 + 1 + 16
 
     def test_rank_one_sgn_attains_sqrt_n(self):
         cov = CovarianceSpec.rank_one_ones(16)
         y = np.sign(sample_gaussian(cov, 10**5, seed=7, stream_id=0))
-        est = scan_directions(y, 16, 7, 0)
+        (est,) = scan_directions(y, 16, 7, 0)
         assert est.value == pytest.approx(math.sqrt(16.0 / math.log(2.0)), rel=1e-6)
         ones = np.ones(16) / 4.0
         assert abs(abs(est.argmax_direction @ ones) - 1.0) <= 1e-9
@@ -373,29 +373,29 @@ class TestPsi2Vector:
         # comes first among ties
         y = np.sign(sample_gaussian(CovarianceSpec.rank_one_ones(n), 10**4, seed=5,
                                     stream_id=0))
-        none = scan_directions(y, 0, 6, 1)
-        full = scan_directions(y, n, 6, 1)
+        (none,) = scan_directions(y, 0, 6, 1)
+        (full,) = scan_directions(y, n, 6, 1)
         assert (none.value, none.ci_low, none.ci_high) == (full.value, full.ci_low,
                                                            full.ci_high)
         np.testing.assert_array_equal(none.argmax_direction, full.argmax_direction)
         np.testing.assert_array_equal(none.argmax_direction, np.ones(n) / math.sqrt(n))
 
     def test_zero_batch(self):
-        est = scan_directions(np.zeros((10**4, 4)), 6, 0, 0)
+        (est,) = scan_directions(np.zeros((10**4, 4)), 6, 0, 0)
         assert (est.value, est.ci_low, est.ci_high) == (0.0, 0.0, 0.0)
         assert est.n_directions == 4 + 1 + 6
         np.testing.assert_array_equal(est.argmax_direction, np.eye(4)[0])
 
     def test_monotone_in_direction_budget(self):
         y = np.where(substream(8, "vec-mono").random((10**4, 8)) < 0.5, -1.0, 1.0)
-        values = [scan_directions(y, budget, 11, 0).value for budget in (8, 16, 32)]
+        values = [scan_directions(y, budget, 11, 0)[0].value for budget in (8, 16, 32)]
         assert values[0] <= values[1] <= values[2]
 
     def test_thread_count_invariance(self):
         # several direction blocks, so the threads really share the scan
         y = np.clip(substream(14, "vec-threads").standard_normal((2 * 10**4, 8)), -1.5, 1.5)
-        one = scan_directions(y, 48, 5, 0, threads=1)
-        three = scan_directions(y, 48, 5, 0, threads=3)
+        (one,) = scan_directions(y, 48, 5, 0, threads=1)
+        (three,) = scan_directions(y, 48, 5, 0, threads=3)
         assert (one.value, one.ci_low, one.ci_high) == (three.value, three.ci_low, three.ci_high)
         np.testing.assert_array_equal(one.argmax_direction, three.argmax_direction)
 
@@ -406,9 +406,9 @@ class TestPsi2Vector:
         x = sample_gaussian(CovarianceSpec.identity(12), 2 * 10**4, seed=3, stream_id=0)
         y = np.sign(x @ substream(3, "vec-slice").standard_normal((12, 12)).T)
         block = y[:, :5] if side == "left" else y[:, 5:]
-        view = scan_directions(block, 8, 2, 1, lambda_grid=[0.25, 0.5, 1.0], threads=2)
-        copy = scan_directions(block.copy(), 8, 2, 1, lambda_grid=[0.25, 0.5, 1.0],
-                               threads=2)
+        (view,) = scan_directions(block, 8, 2, 1, lambda_grid=[0.25, 0.5, 1.0], threads=2)
+        (copy,) = scan_directions(block.copy(), 8, 2, 1, lambda_grid=[0.25, 0.5, 1.0],
+                                  threads=2)
         assert (view.value, view.ci_low, view.ci_high, view.mgf_sigma_max) == (
             copy.value, copy.ci_low, copy.ci_high, copy.mgf_sigma_max)
         np.testing.assert_array_equal(view.argmax_direction, copy.argmax_direction)
@@ -429,8 +429,8 @@ class TestPsi2Vector:
 
     def test_deterministic_given_seed(self):
         y = np.where(substream(13, "vec-det").random((10**4, 4)) < 0.5, -1.0, 1.0)
-        a = scan_directions(y, 4, 3, 0)
-        b = scan_directions(y, 4, 3, 0)
+        (a,) = scan_directions(y, 4, 3, 0)
+        (b,) = scan_directions(y, 4, 3, 0)
         assert (a.value, a.ci_low, a.ci_high) == (b.value, b.ci_low, b.ci_high)
         np.testing.assert_array_equal(a.argmax_direction, b.argmax_direction)
 
@@ -449,6 +449,15 @@ class TestPsi2Vector:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValidationError, match="n_random"):
             scan_directions(np.ones((2000, 3)), -1, 0, 0)
+
+    @pytest.mark.parametrize("parts", (
+        (), (range(0),), (range(2, 1),), (range(0, 3, 2),), (range(-1, 2),),
+        (range(1, 4),), (range(3), range(3, 3)), ([0, 1],), (slice(0, 2),), [range(3)],
+        range(3)), ids=("no-part", "empty", "reversed", "step-2", "negative", "past-n",
+                        "empty-second", "list-part", "slice-part", "list", "bare-range"))
+    def test_bad_parts_rejected(self, parts):
+        with pytest.raises(ValidationError, match="parts"):
+            scan_directions(np.ones((2000, 3)), 2, 0, 0, parts=parts)
 
 
 class TestProject:
@@ -481,8 +490,8 @@ class TestProject:
 
     def test_thread_count_invariance(self, three_per_block):
         y = np.clip(substream(15, "project-threads").standard_normal((2000, 8)), -1.5, 1.5)
-        one = scan_directions(y, 8, 5, 0, lambda_grid=[0.25, 0.5, 1.0], threads=1)
-        three = scan_directions(y, 8, 5, 0, lambda_grid=[0.25, 0.5, 1.0], threads=3)
+        (one,) = scan_directions(y, 8, 5, 0, lambda_grid=[0.25, 0.5, 1.0], threads=1)
+        (three,) = scan_directions(y, 8, 5, 0, lambda_grid=[0.25, 0.5, 1.0], threads=3)
         assert (one.value, one.ci_low, one.ci_high, one.mgf_sigma_max) == (
             three.value, three.ci_low, three.ci_high, three.mgf_sigma_max)
         np.testing.assert_array_equal(one.argmax_direction, three.argmax_direction)
@@ -500,7 +509,8 @@ class TestProject:
 
 class TestSharedDraw:
     def scan(self, y, **kwargs):
-        return scan_directions(y, 6, 3, 0, **kwargs)
+        (scan,) = scan_directions(y, 6, 3, 0, **kwargs)
+        return scan
 
     def data(self):
         return np.clip(substream(37, "shared").standard_normal((20_000, 4)), -1.5, 1.5)
@@ -522,6 +532,15 @@ class TestSharedDraw:
         scan = self.scan(self.data(), lambda_grid=[0.25, 0.5, 1.0], threads=2)
         assert scan.n_directions == 4 + 1 + 6
         assert calls == {"_block_draw": 1, "_compress": 11, "_resample_counts": 11}
+
+    def test_parts_share_one_draw_and_each_canonical_direction(self, monkeypatch):
+        # n canonical directions once, then each part's all-ones and 6 random ones
+        calls = self.count_calls(monkeypatch)
+        scans = scan_directions(self.data(), 6, 3, 0, parts=(range(2), range(2, 4), range(4)),
+                                lambda_grid=[0.25, 0.5, 1.0], threads=2)
+        assert [scan.n_directions for scan in scans] == [2 + 7, 2 + 7, 4 + 7]
+        assert calls == {"_block_draw": 1, "_compress": 4 + 3 * (1 + 6),
+                         "_resample_counts": 4 + 3 * (1 + 6)}
 
     def test_one_compression_and_one_draw_per_scalar_estimate(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
@@ -624,6 +643,44 @@ class TestDirectionSet:
         np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
 
 
+class TestParts:
+    """A scan's parts share its direction stream and its block draw."""
+
+    def data(self, n=16, rows=20_000):
+        w = substream(22, "parts-W").standard_normal((n, n))
+        x = sample_gaussian(CovarianceSpec.identity(n), rows, seed=8, stream_id=0)
+        return np.sign(x @ w.T)
+
+    def test_first_part_scans_as_its_columns(self):
+        # the first part draws the first random directions of the stream
+        y = self.data()
+        grid = [0.25, 0.5, 1.0]
+        first = scan_directions(y, 8, 4, 2, parts=(range(8), range(8, 16), range(16)),
+                                lambda_grid=grid, threads=2)[0]
+        (alone,) = scan_directions(y[:, :8], 8, 4, 2, lambda_grid=grid, threads=2)
+        assert (first.value, first.ci_low, first.ci_high, first.mgf_sigma_max) == (
+            alone.value, alone.ci_low, alone.ci_high, alone.mgf_sigma_max)
+        assert first.n_directions == alone.n_directions == 8 + 1 + 8
+        np.testing.assert_array_equal(first.argmax_direction, alone.argmax_direction)
+
+    def test_thread_count_invariance(self):
+        y = self.data()
+        parts = (range(8), range(8, 16), range(16))
+        one = scan_directions(y, 24, 5, 1, parts=parts, lambda_grid=[0.25, 0.5, 1.0],
+                              threads=1)
+        three = scan_directions(y, 24, 5, 1, parts=parts, lambda_grid=[0.25, 0.5, 1.0],
+                                threads=3)
+        for a, b in zip(one, three):
+            assert (a.value, a.ci_low, a.ci_high, a.mgf_sigma_max) == (
+                b.value, b.ci_low, b.ci_high, b.mgf_sigma_max)
+            np.testing.assert_array_equal(a.argmax_direction, b.argmax_direction)
+
+    def test_argmax_direction_is_as_wide_as_its_part(self):
+        scans = scan_directions(self.data(), 4, 6, 0, parts=(range(3, 7), range(16)))
+        assert [len(scan.argmax_direction) for scan in scans] == [4, 16]
+        assert [scan.n_directions for scan in scans] == [4 + 1 + 4, 16 + 1 + 4]
+
+
 class TestTriangleCombine:
     def test_blocks_dominate_full_vector(self):
         # triangle-inequality oracle on a fixed sign-quantized map
@@ -631,8 +688,7 @@ class TestTriangleCombine:
         w = substream(21, "tri-W").standard_normal((n, n))
         x = sample_gaussian(CovarianceSpec.identity(n), 5 * 10**4, seed=6, stream_id=0)
         y = np.sign(x @ w.T)
-        b1 = scan_directions(y[:, : n // 2], n // 2, 6, 1)
-        b2 = scan_directions(y[:, n // 2 :], n // 2, 6, 2)
-        full = scan_directions(y, n, 6, 3)
+        b1, b2, full = scan_directions(y, n, 6, 1, parts=(range(n // 2), range(n // 2, n),
+                                                          range(n)))
         slack = (b1.ci_high - b1.value) + (b2.ci_high - b2.value) + (full.value - full.ci_low)
         assert full.value <= b1.value + b2.value + slack + 1e-9
