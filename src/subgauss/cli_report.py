@@ -3,9 +3,10 @@
 Config files are strict-schema JSON: unknown keys are rejected so a typo can
 never silently corrupt a study.  CSV is the primary tabular output (one row
 per report row plus a long-format curves file); a JSON sidecar carries the
-seed, the config echo, and versions needed to re-run.  The sidecar is the same
-for the same run apart from its `run_env` block (the wall-clock time and the
-thread count).
+versions and the report's `metadata`, whose experiment, seed and config read
+back as a config file that re-runs the study.  The sidecar is the same for the
+same run, whatever its output directory, apart from its `run_env` block (the
+wall-clock time and the thread count).
 
 Exit codes: 0 all pass flags true, 1 some bound violated, 2 operational
 error, 64 usage or config error.
@@ -21,7 +22,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -107,29 +108,12 @@ def _env_int(name: str, default: int) -> int:
         raise ValidationError(f"{name} must be an integer, got {os.environ[name]!r}") from exc
 
 
+@dataclass(frozen=True)
 class RunConfig:
-    """A validated run: experiment, parameters, output options and study configs."""
-
-    def __init__(self, experiment: str, parameters: dict, output_dir: str = "out",
-                 seed: int | None = None, format: str = "csv"):
-        if experiment not in EXPERIMENTS:
-            raise ValidationError(
-                f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
-        if format not in ("csv", "json"):
-            raise ValidationError(f"format must be 'csv' or 'json', got {format!r}")
-        self.experiment = experiment
-        self.parameters = dict(parameters)
-        self.output_dir = str(output_dir)
-        self.seed = _env_int("SUBGAUSS_SEED", DEFAULT_SEED) if seed is None else int(seed)
-        self.format = format
-        self.configs = build_experiment_configs(self)  # every precondition, up front
-
-    def __eq__(self, other):
-        return isinstance(other, RunConfig) and self.echo() == other.echo()
-
-    def echo(self) -> dict:
-        return {"experiment": self.experiment, **self.parameters, "seed": self.seed,
-                "format": self.format, "output_dir": self.output_dir}
+    """A validated run: each study's built config and the run's output options."""
+    configs: dict
+    output_dir: str
+    format: str
 
 
 def _read_config(file_contents: str) -> tuple[str, dict]:
@@ -154,21 +138,23 @@ def _read_config(file_contents: str) -> tuple[str, dict]:
 
 
 def _run_config(experiment: str, values: dict) -> RunConfig:
-    common = {key: values.pop(key) for key in _COMMON if key in values}
-    return RunConfig(experiment, values, **common)
+    """Build every study config of a run from its type-checked keys, checking each."""
+    seed = values.pop("seed", None)
+    format = values.pop("format", "csv")
+    output_dir = values.pop("output_dir", "out")
+    if format not in ("csv", "json"):
+        raise ValidationError(f"format must be 'csv' or 'json', got {format!r}")
+    if seed is None:
+        seed = _env_int("SUBGAUSS_SEED", DEFAULT_SEED)
+    params = {key: _field_value(key, value) for key, value in values.items()}
+    names = STUDIES if experiment == "all" else (experiment,)
+    return RunConfig({name: STUDIES[name](**params, seed=seed) for name in names},
+                     output_dir, format)
 
 
 def parse_config(file_contents: str) -> RunConfig:
     """Parse a strict-schema JSON config into a validated RunConfig."""
     return _run_config(*_read_config(file_contents))
-
-
-def build_experiment_configs(run: RunConfig) -> dict:
-    """Expand a RunConfig into the studies' config objects, whose construction
-    checks every precondition."""
-    params = {key: _field_value(key, value) for key, value in run.parameters.items()}
-    return {name: STUDIES[name](**params, seed=run.seed)
-            for name in (STUDIES if run.experiment == "all" else (run.experiment,))}
 
 
 def run_experiments(run: RunConfig, *, threads: int = THREADS) -> list[ExperimentReport]:
@@ -212,13 +198,14 @@ def _prepare_target(path: Path, force: bool) -> None:
 
 
 def emit_report(report: ExperimentReport, format: str, output_dir, *,
-                force: bool = False, run_config_echo: dict | None = None,
-                threads: int | None = None) -> list[Path]:
+                force: bool = False, threads: int | None = None) -> list[Path]:
     """Write the report and return the created paths.
 
     csv format: <experiment>.csv (one row per report row), <experiment>.json
-    sidecar with full metadata, and <experiment>_curves.csv in long format for
-    value-vs-n plots.  json format: a single file that also embeds the rows.
+    sidecar with the report's metadata (experiment, seed and config, which
+    read back as a config file) and versions, and <experiment>_curves.csv in
+    long format for value-vs-n plots.  json format: a single file that also
+    embeds the rows.
     `threads`, the worker count the report was computed with, goes to the
     sidecar's run_env block (null when not given).
     """
@@ -240,8 +227,6 @@ def emit_report(report: ExperimentReport, format: str, output_dir, *,
         "run_env": {"generated_at": datetime.now(timezone.utc).isoformat(),
                     "threads": threads},
     }
-    if run_config_echo is not None:
-        sidecar["run_config"] = run_config_echo
 
     paths = report_paths(report.experiment, format, out)
     for target in paths:
@@ -385,7 +370,7 @@ def run_cli(argv=None) -> int:
         all_passed = True
         for report in reports:
             paths = emit_report(report, run.format, run.output_dir, force=args.force,
-                                run_config_echo=run.echo(), threads=threads)
+                                threads=threads)
             for path in paths:
                 print(f"wrote {path}")
             n_fail = sum(1 for r in report.rows if not r.passed)

@@ -141,9 +141,7 @@ class TheoremConfig:
             raise ValidationError(f"kappas must be finite and >= 1, got {self.kappas}")
         check_count("samples", self.samples, 10_000)
         check_count("directions", self.directions, 0)
-        _check_grid("maps", self.maps)
-        for name in self.maps:
-            get_map(name)  # fail fast on unknown names
+        _check_grid("maps", tuple(get_map(name).name for name in self.maps))
 
 
 @dataclass(frozen=True)

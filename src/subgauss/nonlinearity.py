@@ -57,7 +57,7 @@ def get_map(name: str) -> BoundedMap:
         return _BUILTINS[name]
     if name.startswith("threshold:"):
         try:
-            t = float(name.split(":", 1)[1])
+            t = float(name.split(":", 1)[1]) + 0.0  # -0 names itself 0
         except ValueError as exc:
             raise ValidationError(f"bad threshold level in map name {name!r}") from exc
         if not math.isfinite(t):  # a non-finite level gives a constant map

@@ -45,9 +45,8 @@ class TestParseConfig:
     def test_valid_counterexample(self):
         run = parse_config(
             '{"experiment":"counterexample","dims":[16,64,256],"samples":100000,"seed":7}')
-        assert run.experiment == "counterexample"
-        assert run.parameters["dims"] == [16, 64, 256]
-        assert run.seed == 7
+        assert run.configs == {
+            "counterexample": CounterexampleConfig((16, 64, 256), samples=100_000, seed=7)}
 
     def test_kappa_below_one_rejected(self):
         with pytest.raises(ValidationError):
@@ -72,25 +71,27 @@ class TestParseConfig:
     def test_seed_from_environment(self, monkeypatch):
         monkeypatch.setenv("SUBGAUSS_SEED", "99")
         run = parse_config('{"experiment":"wishart"}')
-        assert run.seed == 99
+        assert run.configs == {"wishart": WishartConfig(seed=99)}
 
     def test_seed_default_constant(self, monkeypatch):
         monkeypatch.delenv("SUBGAUSS_SEED", raising=False)
         run = parse_config('{"experiment":"wishart"}')
-        assert run.seed == 42
+        assert run.configs == {"wishart": WishartConfig(seed=42)}
 
-    def test_round_trip_through_echo(self):
+    def test_round_trip_through_echo(self, tmp_path):
+        # an emitted sidecar's metadata reads back as the run that wrote it
         original = parse_config(
             '{"experiment":"counterexample","dims":[8,16,64],"samples":20000,"seed":3}')
-        again = parse_config(json.dumps(original.echo()))
+        emit_report(run_counterexample(original.configs["counterexample"]), "csv", tmp_path)
+        meta = json.loads((tmp_path / "counterexample.json").read_text())["metadata"]
+        again = parse_config(json.dumps(
+            {"experiment": meta["experiment"], "seed": meta["seed"], **meta["config"]}))
         assert again == original
 
     def test_all_experiment_builds_every_config(self):
-        from subgauss.cli_report import build_experiment_configs
-
         run = parse_config('{"experiment":"all","seed":1}')
-        configs = build_experiment_configs(run)
-        assert set(configs) == {"theorem", "corollary", "wishart", "counterexample"}
+        assert list(run.configs) == ["theorem", "corollary", "wishart", "counterexample"]
+        assert run.configs == {name: cls(seed=1) for name, cls in STUDIES.items()}
 
     @pytest.mark.parametrize("name", list(STUDIES))
     def test_report_config_echo_reads_back_as_a_config_file(self, name):
@@ -155,21 +156,17 @@ class TestEmitReport:
 
     def test_sidecar_deterministic_apart_from_run_env(self, tmp_path):
         docs = []
-        # the same output dir, as the config echo names it; the thread count differs
-        for extra in (["--threads", "1"], ["--threads", "3", "--force"]):
-            assert run_cli(CX_ARGS + ["--out", str(tmp_path)] + extra) == 0
-            docs.append(json.loads((tmp_path / "counterexample.json").read_text()))
+        # neither the output dir nor the thread count reaches the sidecar but run_env
+        for threads in ("1", "3"):
+            out = tmp_path / threads
+            assert run_cli(CX_ARGS + ["--out", str(out), "--threads", threads]) == 0
+            docs.append(json.loads((out / "counterexample.json").read_text()))
         envs = [doc.pop("run_env") for doc in docs]
         assert {"generated_at", "threads"} == set(envs[0]) == set(envs[1])
         assert [env["threads"] for env in envs] == [1, 3]
         assert docs[0] == docs[1]
+        assert set(docs[0]) == {"experiment", "all_passed", "row_count", "metadata", "versions"}
         assert {"subgauss", "numpy", "scipy", "python"} == set(docs[0]["versions"])
-
-    def test_sidecar_carries_config_echo(self, tmp_path):
-        emit_report(tiny_report(), "csv", tmp_path,
-                    run_config_echo={"experiment": "wishart", "seed": 1})
-        doc = json.loads((tmp_path / "wishart.json").read_text())
-        assert doc["run_config"]["experiment"] == "wishart"
 
 
 class TestRunCli:
@@ -301,8 +298,8 @@ class TestParameterTable:
         from_json = parse_config(json.dumps({"experiment": study, key: default, "seed": 5}))
         args = build_parser().parse_args(
             [study, "--" + key.replace("_", "-"), text, "--seed", "5"])
-        assert _assemble_run_config(args).echo() == from_json.echo()
-        assert key in from_json.echo()
+        assert _assemble_run_config(args) == from_json
+        assert getattr(from_json.configs[study], key) == default
 
     @pytest.mark.parametrize("args", [
         ["theorem", "--directions", "-3"],
@@ -316,6 +313,8 @@ class TestParameterTable:
         ["theorem", "--threads", "0"],
         ["counterexample", "--dims", "16,16,128"],
         ["theorem", "--dims", "4,4,8", "--kappas", "1,1"],
+        ["theorem", "--maps", "threshold:1,threshold:1.0"],
+        ["theorem", "--maps", "threshold:0,threshold:-0"],
     ])
     def test_precondition_exits_64_before_any_study(self, args, tmp_path):
         out = tmp_path / "out"
@@ -334,7 +333,7 @@ class TestParameterTable:
         args = build_parser().parse_args(["wishart", "--config", str(cfg), "--trials", "200"])
         run = _assemble_run_config(args)
         assert run.configs["wishart"].trials == 200
-        assert run.echo()["dims"] == [16]
+        assert run.configs["wishart"].dims == (16,)
 
     @pytest.mark.parametrize("study,key", [("theorem", "dims"), ("theorem", "kappas"),
                                            ("theorem", "maps"), ("wishart", "dims"),

@@ -70,6 +70,7 @@ class TestBoundedMap:
     def test_threshold_name_is_normalised(self):
         assert get_map("threshold:0.50").name == "threshold:0.5"
         assert get_map("threshold:-1e0").breakpoints == (-1.0,)
+        assert get_map("threshold:-0").name == get_map("threshold:0").name == "threshold:0"
 
     @pytest.mark.parametrize("level", ("inf", "-inf", "nan"))
     def test_non_finite_threshold_rejected(self, level):
