@@ -6,12 +6,12 @@ one are handled uniformly where Cholesky would fail.  A factor with one
 nonzero per row (identity, diagonal, rank-one) is applied as a column gather,
 bit-identical to the dense product.  Draws come in fixed-size chunks,
 each from its own counter-based substream, so results are bit-identical for any
-worker count.  A map given to the sampler maps each row on its own, and is
-applied as a chunk is drawn to tiles of at most SAMPLE_TILE of its rows, so a
-study that needs only the image phi(X) never holds X whole and a worker holds
-no chunk-sized buffer.  While more than one worker runs, numpy's bundled
-OpenBLAS is held at one thread, so workers and BLAS threads do not
-oversubscribe the cores.
+worker count.  A sample is stored column-major, so each coordinate is one
+contiguous column.  A map given to the sampler maps each row on its own, and
+is applied as a chunk is drawn to tiles of at most SAMPLE_TILE of its rows, so
+a study that needs only the image phi(X) never holds X whole.  While more than
+one worker runs, numpy's bundled OpenBLAS is held at one thread, so workers
+and BLAS threads do not oversubscribe the cores.
 """
 
 from __future__ import annotations
@@ -203,8 +203,7 @@ class CovarianceSpec:
         z @ sampling_factor.T, whose other terms are exact zeros.  That covers
         identity and diagonal covariances, whose factor is a permutation times a
         diagonal (tied eigenvalues are reordered), and the rank-one all-ones
-        covariance, whose factor is one column.  np.take gathers a row-major
-        chunk; z[:, cols] would give a column-major one, slow to store.
+        covariance, whose factor is one column.
         """
         nonzero = self.sampling_factor != 0.0
         if not np.all(np.count_nonzero(nonzero, axis=1) == 1):
@@ -224,10 +223,10 @@ def condition_number(matrix) -> float:
 
 def _fill_chunks(out: np.ndarray, seed, stream_id, cov, threads: int, phi=None) -> None:
     """Standard normal chunks z, one column per column of cov's sampling factor,
-    stored in out as x = z @ cov.sampling_factor.T, or as phi(x) on the worker
-    that drew the chunk when phi is given.  z is drawn into the chunk's rows of
-    out when it is as wide as they are, and phi(x) is stored SAMPLE_TILE rows
-    at a time, so a worker holds no chunk-sized buffer but a dense product's x."""
+    stored in out's rows (in any memory order) as x = z @ cov.sampling_factor.T,
+    or as phi(x) on the worker that drew the chunk when phi is given, SAMPLE_TILE
+    rows at a time.  A gather draws z a tile at a time, so its worker holds no
+    chunk-sized buffer; a dense product draws and multiplies the chunk whole."""
     count = out.shape[0]
     width = cov.sampling_factor.shape[1]
     cols, scale = cov.gather or (None, None)
@@ -237,15 +236,16 @@ def _fill_chunks(out: np.ndarray, seed, stream_id, cov, threads: int, phi=None) 
         rows = out[lo:lo + CHUNK_SIZE]
         # the constant 0 is part of every chunk's key; changing it changes every draw
         rng = substream(seed, stream_id, 0, chunk_index)
-        z = rows if width == rows.shape[1] else np.empty((len(rows), width))
-        rng.standard_normal(out=z)
-        # A gather's bits do not depend on how many rows it takes, so it goes
-        # a tile at a time; a dense product's can, so it takes the chunk whole.
-        x = z @ cov.sampling_factor.T if cols is None else None
+        # A generator fills row-major, so a gather, whose bits do not depend on
+        # how many rows it takes, draws z a tile at a time with the chunk's bits;
+        # a dense product's can, so it draws and multiplies the chunk whole.
+        if cols is None:
+            x = rng.standard_normal((len(rows), width)) @ cov.sampling_factor.T
         for a in range(0, len(rows), SAMPLE_TILE):
             tile = slice(a, a + SAMPLE_TILE)
-            x_tile = np.take(z[tile], cols, axis=1) * scale if x is None else x[tile]
-            rows[tile] = x_tile if phi is None else phi(x_tile)  # z[tile] is read by now
+            x_tile = x[tile] if cols is None else (
+                np.take(rng.standard_normal((len(rows[tile]), width)), cols, axis=1) * scale)
+            rows[tile] = x_tile if phi is None else phi(x_tile)
 
     thread_map(work, list(enumerate(range(0, count, CHUNK_SIZE))), threads)
 
@@ -253,7 +253,7 @@ def _fill_chunks(out: np.ndarray, seed, stream_id, cov, threads: int, phi=None) 
 def sample_gaussian(cov: CovarianceSpec, count: int, seed: int, stream_id: int,
                     *, threads: int = THREADS, phi=None) -> np.ndarray:
     """Draw count i.i.d. N(0, Sigma) rows via the spectral factor, as a
-    read-only count x n array; given phi, the image phi(X) instead.
+    read-only column-major count x n array; given phi, the image phi(X) instead.
 
     phi maps rows of x to as many rows of n values, each row on its own (a
     coordinate-wise map, or a row-wise one such as x -> sgn(x @ W.T) with W
@@ -263,6 +263,6 @@ def sample_gaussian(cov: CovarianceSpec, count: int, seed: int, stream_id: int,
     Singular covariances are allowed.
     """
     check_count("count", count, 1)
-    data = np.empty((count, cov.dim))
+    data = np.empty((cov.dim, count)).T  # column-major: each coordinate is contiguous
     _fill_chunks(data, seed, stream_id, cov, threads, phi)
     return _read_only(data)

@@ -29,9 +29,9 @@ Vector norm: maximum of the scalar norm over a declared direction set
 lower bound on the supremum over the sphere reported with its direction
 count.  One entry, `scan_directions`, runs every such scan on a rows x n
 array, for one or more column ranges (parts) of it at once: one block
-resample for the whole scan, each canonical direction scanned once, each
-projection compressed and weighted once for both estimates, in blocks of
-directions of bounded memory spread over worker threads.
+resample for the whole scan, each canonical direction read once as a column
+of y, each projection compressed and weighted once for both estimates, in
+blocks of directions of bounded memory spread over worker threads.
 
 Every norm estimate is one `Psi2Estimate`.  With a lambda grid it holds the
 MGF variance proxy sigma `mgf_sigma` fits (a scan's is the largest over its
@@ -59,7 +59,6 @@ NEWTON_MAX_ITERS = 50    # a row whose step stalls at rounding level stops here
 SCAN_BLOCK_BYTES = 2**26  # working-set budget of one block of directions in a scan
 ROOT_GROUP_CELLS = 2**16  # padded support points x supports x RESAMPLES per root solve
 BOOT_BLOCKS = 256        # contiguous row-blocks a bootstrap draw resamples
-PROJECT_TILE = 256       # rows of y per copy when a scan projects canonical directions
 
 _LOG2 = math.log(2.0)
 
@@ -300,18 +299,15 @@ def direction_set(n: int, n_random: int, rng: np.random.Generator) -> np.ndarray
 
 
 def _project(y: np.ndarray, dirs: np.ndarray, block: range) -> np.ndarray:
-    """Rows y @ v for v in dirs[block].  A block of canonical directions only
-    copies y's columns in tiles of PROJECT_TILE rows (a copy of whole strided
-    columns is no faster than the product), which on finite y has the product's
-    bits; any other block is the product dirs[block] @ y.T, rounded as before."""
+    """Rows y @ v for v in dirs[block].  A block of canonical directions is y's
+    columns, read in place when y is column-major (as `sample_gaussian` draws
+    it) and copied otherwise, which on finite y has the product's bits; any
+    other block is the product dirs[block] @ y.T."""
     if block.stop > y.shape[1]:
         # _draw_support rejects what NaN or inf in y project to (errstate is per thread)
         with np.errstate(invalid="ignore", over="ignore"):
             return dirs[block.start:block.stop] @ y.T
-    proj = np.empty((len(block), len(y)))
-    for r in range(0, len(y), PROJECT_TILE):
-        proj[:, r:r + PROJECT_TILE] = y[r:r + PROJECT_TILE, block.start:block.stop].T
-    return proj
+    return np.ascontiguousarray(y[:, block.start:block.stop].T)
 
 
 def scan_directions(y, n_random: int, seed: int, stream_id: int, *, parts=None,
@@ -333,12 +329,13 @@ def scan_directions(y, n_random: int, seed: int, stream_id: int, *, parts=None,
     and one set of weights (the MGF on representatives shifted by its mean).
 
     Directions go in fixed blocks whose working set fits SCAN_BLOCK_BYTES,
-    each projected by `_project` (which reads y in place, a column slice of a
-    wider array included) on one of `threads` workers.  Each part reduces over
-    its canonical columns, then its own directions, the first maximum winning
-    ties, so the result is the same for any thread count.  (A block's product
-    can round its last bits differently when its width changes, which only
-    the last block of a smaller budget sees.)
+    canonical ones apart from the others, each projected by `_project` on one
+    of `threads` workers: a canonical block is y's columns, read in place when
+    y is column-major (as sampled), and any other block a product.  Each part
+    reduces over its canonical columns, then its own directions, the first
+    maximum winning ties, so the result is the same for any thread count.  (A
+    block's product can round its last bits differently when its width
+    changes, which only the last block of a smaller budget sees.)
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2 or 0 in y.shape:
@@ -354,11 +351,12 @@ def scan_directions(y, n_random: int, seed: int, stream_id: int, *, parts=None,
     dirs = np.vstack([np.eye(n), *(  # each part's all-ones and random directions, zero-padded
         np.pad(direction_set(len(p), n_random, rng)[len(p):], ((0, 0), (p.start, n - p.stop)))
         for p in parts)])
-    # Only the projection is bounded by this size; the 6 * RESAMPLES * BINS
-    # term stays because the block boundaries fix the bits of the dense
-    # product of the block that spans the canonical/all-ones edge.
+    # Canonical and other directions are cut into blocks apart, so no product
+    # holds a canonical one.  The 6 * RESAMPLES * BINS term no longer bounds
+    # memory; it stays because the block boundaries fix the products' bits.
     size = max(1, SCAN_BLOCK_BYTES // (8 * (rows + 6 * RESAMPLES * BINS)))
-    blocks = [range(lo, min(lo + size, len(dirs))) for lo in range(0, len(dirs), size)]
+    blocks = [range(lo, min(lo + size, stop))
+              for start, stop in ((0, n), (n, len(dirs))) for lo in range(start, stop, size)]
     draw = _block_draw(rows, substream(seed, stream_id, _TAG_SCAN_BOOT))
 
     def work(block):

@@ -266,8 +266,8 @@ class TestMappedSample:
 
 
 class TestTiledChunks:
-    """A chunk is drawn into the sample and mapped a tile at a time, with the
-    bits of its whole-chunk product and map."""
+    """A chunk is mapped and stored into the column-major sample a tile at a
+    time, with the bits of its whole-chunk product and map."""
 
     @pytest.mark.parametrize("threads", (1, 2))
     @pytest.mark.parametrize("phi", (None, get_map("clamp")), ids=("plain", "clamp"))
@@ -288,6 +288,7 @@ class TestTiledChunks:
             x = z @ cov.sampling_factor.T
             chunks.append(x if phi is None else phi(x))
         y = sample_gaussian(cov, count, 6, 3, threads=threads, phi=phi)
+        assert y.flags.f_contiguous and not y.flags.writeable
         assert np.array_equal(y.view(np.uint64), np.concatenate(chunks).view(np.uint64))
 
     @pytest.mark.parametrize("threads", (1, 2))

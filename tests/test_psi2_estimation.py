@@ -12,7 +12,6 @@ from subgauss.gaussian_core import CovarianceSpec, sample_gaussian, substream
 from subgauss.psi2_estimation import (
     BINS,
     BOOT_BLOCKS,
-    PROJECT_TILE,
     RESAMPLES,
     _block_draw,
     _compress,
@@ -427,6 +426,20 @@ class TestPsi2Vector:
             tracemalloc.stop()
         assert peak < 3 * size * rows * 8
 
+    def test_canonical_blocks_are_not_copied(self):
+        # a sampled sample is column-major: its canonical blocks are views of
+        # it, and the one product here is the all-ones direction's
+        rows, n = 10**5, 64
+        y = sample_gaussian(CovarianceSpec.rank_one_ones(n), rows, 1, 0, phi=np.sign)
+        size = psi2_estimation.SCAN_BLOCK_BYTES // (8 * (rows + 6 * RESAMPLES * BINS))
+        tracemalloc.start()  # it sees numpy's buffers
+        try:
+            scan_directions(y, 0, 1, 0, threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < size * rows * 8 / 4
+
     def test_deterministic_given_seed(self):
         y = np.where(substream(13, "vec-det").random((10**4, 4)) < 0.5, -1.0, 1.0)
         (a,) = scan_directions(y, 4, 3, 0)
@@ -461,14 +474,14 @@ class TestPsi2Vector:
 
 
 class TestProject:
-    """A block of canonical directions is copied out of y, every other block is
-    the product: on finite data each block has the product's bits."""
+    """A block of canonical directions is y's columns, in place when y is
+    column-major, and every other block is the product: on finite data each
+    block has the product's bits."""
 
     @pytest.mark.parametrize("n", (5, 16, 64))
     @pytest.mark.parametrize("rows", (255, 4097))
     @pytest.mark.parametrize("kind", ("clamp", "sign"))
     def test_every_block_is_the_product(self, n, rows, kind):
-        assert rows < PROJECT_TILE or rows % PROJECT_TILE
         x = substream(n, "project", rows).standard_normal((rows, n + 3))
         wide = np.clip(x, -1.5, 1.5) if kind == "clamp" else np.sign(x)
         dirs = direction_set(n, n, substream(n, "project-dirs"))
@@ -476,15 +489,22 @@ class TestProject:
         for size in (1, 3, n, 23):
             blocks = [range(lo, min(lo + size, len(dirs)))
                       for lo in range(0, len(dirs), size)]
-            for y in (wide[:, :n].copy(), wide[:, :n], wide[:, 3:]):
+            for y in (wide[:, :n].copy(), np.asfortranarray(wide[:, :n]), wide[:, :n],
+                      wide[:, 3:]):
                 for block in blocks:
                     assert np.array_equal(_project(y, dirs, block),
                                           dirs[block.start:block.stop] @ y.T)
 
+    def test_a_sampled_canonical_block_is_a_view(self):
+        y = sample_gaussian(CovarianceSpec.identity(5), 1000, 1, 0)
+        dirs = direction_set(5, 2, substream(5, "project-view"))
+        assert np.shares_memory(_project(y, dirs, range(3)), y)
+
     @pytest.fixture
     def three_per_block(self, monkeypatch):
         """Scans of 2000 rows project three directions per block: n = 8's
-        canonical directions fill two blocks and share a third with all-ones."""
+        canonical directions fill two blocks and a third of two, and all-ones
+        starts the next block, as canonical and other blocks are cut apart."""
         monkeypatch.setattr(psi2_estimation, "SCAN_BLOCK_BYTES",
                             3 * 8 * (2000 + 6 * RESAMPLES * BINS))
 
@@ -496,7 +516,22 @@ class TestProject:
             three.value, three.ci_low, three.ci_high, three.mgf_sigma_max)
         np.testing.assert_array_equal(one.argmax_direction, three.argmax_direction)
 
-    @pytest.mark.parametrize("column", (4, 7))  # a copied block, the mixed block
+    @pytest.mark.parametrize("threads", (1, 3))
+    def test_memory_order_does_not_matter(self, three_per_block, threads):
+        # 8 random directions make every other block three rows: a one-row
+        # block is a matrix-vector product, whose bits can differ between orders
+        cov = CovarianceSpec.from_matrix(np.eye(8) + 0.5)  # a dense sampling factor
+        sampled = sample_gaussian(cov, 2000, 4, 0, phi=lambda x: np.clip(x, -1.5, 1.5))
+        assert sampled.flags.f_contiguous
+        grid = [0.25, 0.5, 1.0]
+        (f,) = scan_directions(sampled, 8, 5, 0, lambda_grid=grid, threads=threads)
+        (c,) = scan_directions(np.ascontiguousarray(sampled), 8, 5, 0, lambda_grid=grid,
+                               threads=threads)
+        assert (f.value, f.ci_low, f.ci_high, f.mgf_sigma_max) == (
+            c.value, c.ci_low, c.ci_high, c.mgf_sigma_max)
+        np.testing.assert_array_equal(f.argmax_direction, c.argmax_direction)
+
+    @pytest.mark.parametrize("column", (4, 7))  # a middle block, the short last canonical block
     @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
     def test_non_finite_outside_the_first_block_rejected(self, three_per_block,
                                                          column, bad):
