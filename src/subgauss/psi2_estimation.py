@@ -352,8 +352,8 @@ def scan_directions(y, n_random: int, seed: int, stream_id: int, *, parts=None,
         np.pad(direction_set(len(p), n_random, rng)[len(p):], ((0, 0), (p.start, n - p.stop)))
         for p in parts)])
     # Canonical and other directions are cut into blocks apart, so no product
-    # holds a canonical one.  The 6 * RESAMPLES * BINS term no longer bounds
-    # memory; it stays because the block boundaries fix the products' bits.
+    # holds a canonical one.  The block boundaries fix the products' bits, so
+    # this size is part of every scan's result.
     size = max(1, SCAN_BLOCK_BYTES // (8 * (rows + 6 * RESAMPLES * BINS)))
     blocks = [range(lo, min(lo + size, stop))
               for start, stop in ((0, n), (n, len(dirs))) for lo in range(start, stop, size)]
