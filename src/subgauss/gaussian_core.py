@@ -35,7 +35,7 @@ PSD_TOL = 1e-10          # eigenvalues below -PSD_TOL are rejected, above are cl
 SINGULARITY_REL = 1e-12  # lambda_min <= SINGULARITY_REL * lambda_max counts as singular
 
 CHUNK_SIZE = 4096        # fixed chunk size: determinism must not depend on thread count
-SAMPLE_TILE = 256        # rows of a chunk mapped and stored at a time
+SAMPLE_TILE = 256        # rows of a chunk drawn, mapped and stored at a time
 # Default worker count: the CPUs this process may run on.
 THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
@@ -224,9 +224,9 @@ def condition_number(matrix) -> float:
 def _fill_chunks(out: np.ndarray, seed, stream_id, cov, threads: int, phi=None) -> None:
     """Standard normal chunks z, one column per column of cov's sampling factor,
     stored in out's rows (in any memory order) as x = z @ cov.sampling_factor.T,
-    or as phi(x) on the worker that drew the chunk when phi is given, SAMPLE_TILE
-    rows at a time.  A gather draws z a tile at a time, so its worker holds no
-    chunk-sized buffer; a dense product draws and multiplies the chunk whole."""
+    or as phi(x) on the worker that drew the chunk when phi is given.  Each
+    chunk is drawn, multiplied or gathered, mapped and stored SAMPLE_TILE rows
+    at a time, so no worker holds a chunk-sized buffer."""
     count = out.shape[0]
     width = cov.sampling_factor.shape[1]
     cols, scale = cov.gather or (None, None)
@@ -236,16 +236,14 @@ def _fill_chunks(out: np.ndarray, seed, stream_id, cov, threads: int, phi=None) 
         rows = out[lo:lo + CHUNK_SIZE]
         # the constant 0 is part of every chunk's key; changing it changes every draw
         rng = substream(seed, stream_id, 0, chunk_index)
-        # A generator fills row-major, so a gather, whose bits do not depend on
-        # how many rows it takes, draws z a tile at a time with the chunk's bits;
-        # a dense product's can, so it draws and multiplies the chunk whole.
-        if cols is None:
-            x = rng.standard_normal((len(rows), width)) @ cov.sampling_factor.T
+        # A generator fills row-major, so the tiles of z have the bits of the
+        # chunk's draw.  A gather's bits do not depend on how many rows it
+        # takes; a dense product's are those of a SAMPLE_TILE-row product.
         for a in range(0, len(rows), SAMPLE_TILE):
             tile = slice(a, a + SAMPLE_TILE)
-            x_tile = x[tile] if cols is None else (
-                np.take(rng.standard_normal((len(rows[tile]), width)), cols, axis=1) * scale)
-            rows[tile] = x_tile if phi is None else phi(x_tile)
+            x = rng.standard_normal((len(rows[tile]), width))  # z, freed as x is rebound
+            x = x @ cov.sampling_factor.T if cols is None else np.take(x, cols, axis=1) * scale
+            rows[tile] = x if phi is None else phi(x)
 
     thread_map(work, list(enumerate(range(0, count, CHUNK_SIZE))), threads)
 

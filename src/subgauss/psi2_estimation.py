@@ -56,7 +56,7 @@ MGF_EXP_GUARD = 30.0     # reject grids with lambda * max|x| above this
 NEWTON_TOL = 1e-14       # relative Newton step that ends a root solve; also the
                          # relative margin added to each root
 NEWTON_MAX_ITERS = 50    # a row whose step stalls at rounding level stops here
-SCAN_BLOCK_BYTES = 2**26  # working-set budget of one block of directions in a scan
+SCAN_BLOCK_BYTES = 2**26  # bounds a scan block's projection plus one root-solve group
 ROOT_GROUP_CELLS = 2**16  # padded support points x supports x RESAMPLES per root solve
 BOOT_BLOCKS = 256        # contiguous row-blocks a bootstrap draw resamples
 
@@ -89,19 +89,20 @@ class Psi2Estimate:
                 f"interval [{self.ci_low}, {self.ci_high}] does not bracket {self.value}")
 
 
-def _compress(values: np.ndarray, blocks: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _compress(values: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, ...]:
     """(representatives, mean squares, block counts) of a sample.
 
     A sample with at most BINS distinct values gives those values, their
     exact squares and their counts; a wider one gives BINS uniform bins over
     its range, each bin's mean of x and mean of x^2, with empty bins dropped.
     The counts are per row-block: a blocks x K matrix whose row b counts the
-    rows [b * len // blocks, (b + 1) * len // blocks).  The distinct values
-    of a prefix are counted first when each recurs in it, and the sample is
-    sorted only when that is not so or they miss a row; when the prefix
-    already holds more than BINS distinct values the sample is binned without
-    sorting it.  Either way the result is that of a full sort.
-    """
+    rows that `block`, a block draw's row-block of each row, puts in block b.
+    The distinct values of the first 2 BINS + 2 rows are counted when each
+    recurs there and they cover the sample.  Otherwise the sample is sorted,
+    unless its first 2 BINS + 2 or 8 BINS rows hold more than BINS distinct
+    values: then it is binned without a sort.  Either way the result is that
+    of a full sort."""
+    blocks = int(block[-1]) + 1  # the last row is in the last block
     starts = np.arange(blocks) * len(values) // blocks
 
     def counted(uniq):
@@ -113,7 +114,9 @@ def _compress(values: np.ndarray, blocks: int) -> tuple[np.ndarray, np.ndarray, 
         # a prefix whose every value recurs likely holds the whole support
         cells = counted(uniq) if seen.min() > 1 else None
         if cells is None or cells.sum() < len(values):
-            uniq = np.unique(values)
+            uniq = np.unique(values[:8 * BINS])
+            if len(uniq) <= BINS and len(values) > 8 * BINS:
+                uniq = np.unique(values)
             cells = counted(uniq) if len(uniq) <= BINS else None
         if cells is not None:
             return uniq, uniq * uniq, cells
@@ -121,19 +124,23 @@ def _compress(values: np.ndarray, blocks: int) -> tuple[np.ndarray, np.ndarray, 
     idx = np.minimum(((values - lo) * (BINS / (hi - lo))).astype(np.int64), BINS - 1)
     sums = np.bincount(idx, weights=values, minlength=BINS)
     squares = np.bincount(idx, weights=values * values, minlength=BINS)
-    idx += np.repeat(np.arange(blocks) * BINS, np.diff(starts, append=len(values)))
-    cells = np.bincount(idx, minlength=blocks * BINS).reshape(blocks, BINS)
+    idx *= blocks
+    idx += block  # bin-major cells, so no rows-long int64 index is added
+    cells = np.bincount(idx, minlength=BINS * blocks).reshape(BINS, blocks).T
     cnt = cells.sum(axis=0)
     mask = cnt > 0
     return sums[mask] / cnt[mask], squares[mask] / cnt[mask], cells[:, mask]
 
 
-def _block_draw(rows: int, rng: np.random.Generator) -> np.ndarray:
-    """RESAMPLES x B multinomial counts of B = min(BOOT_BLOCKS, rows) equally
-    likely row-blocks, B per resample, as floats: the one bootstrap draw every
-    sample of these rows is weighted by."""
+def _block_draw(rows: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The one bootstrap draw every sample of these rows is weighted by: the
+    RESAMPLES x B multinomial counts of B = min(BOOT_BLOCKS, rows) equally
+    likely row-blocks, B per resample, as floats, and the row-block of each
+    row, block b holding the rows [b * rows // B, (b + 1) * rows // B)."""
     blocks = min(BOOT_BLOCKS, rows)
-    return rng.multinomial(blocks, np.full(blocks, 1.0 / blocks), size=RESAMPLES).astype(float)
+    counts = rng.multinomial(blocks, np.full(blocks, 1.0 / blocks), size=RESAMPLES)
+    index = np.arange(blocks, dtype=np.min_scalar_type(blocks - 1))  # a byte a row at 256 blocks
+    return counts.astype(float), np.repeat(index, np.diff(np.arange(blocks + 1) * rows // blocks))
 
 
 def _resample_counts(cells: np.ndarray, draw: np.ndarray) -> np.ndarray:
@@ -198,7 +205,7 @@ def _orlicz_roots(reps_sq: np.ndarray, weights: np.ndarray) -> np.ndarray:
             margin *= 2.0
 
 
-def _draw_support(x: np.ndarray, draw: np.ndarray):
+def _draw_support(x: np.ndarray, draw: tuple):
     """(representatives, mean squares, weights) of sample x: its support
     compressed to at most BINS points, and its RESAMPLES rows of counts over
     it under the block draw `_block_draw(len(x), ...)` made.  An
@@ -209,35 +216,39 @@ def _draw_support(x: np.ndarray, draw: np.ndarray):
         raise ValidationError(f"sample has a non-finite value (max |x| = {max_abs})")
     if max_abs <= ZERO_TOL:
         return None
-    reps, squares, cells = _compress(x, draw.shape[1])
-    return reps, squares, _resample_counts(cells, draw)
+    reps, squares, cells = _compress(x, draw[1])
+    return reps, squares, _resample_counts(cells, draw[0])
 
 
 def _orlicz_estimate(supports) -> np.ndarray:
     """(median root, ci_low, ci_high) of the bootstrap-median Orlicz criterion,
-    one row per support, a None support (a zero sample) giving zeros.  Drawn
-    supports are solved in consecutive groups of at most ROOT_GROUP_CELLS
-    padded cells (a wider one alone), which fit in cache; a support's roots
-    do not depend on its group.
-    """
-    roots = np.zeros((len(supports), RESAMPLES))
-    rows = [i for i, support in enumerate(supports) if support is not None]
-    while rows:
-        width, size = len(supports[rows[0]][1]), 1
-        for i in rows[1:]:
-            wider = max(width, len(supports[i][1]))
-            if wider * (size + 1) * RESAMPLES > ROOT_GROUP_CELLS:
-                break
-            width, size = wider, size + 1
-        group, rows = rows[:size], rows[size:]
-        reps_sq = np.zeros((width, size))
-        weights = np.zeros((width, size, RESAMPLES))
-        for j, i in enumerate(group):
-            _, squares, counts = supports[i]
-            reps_sq[:len(squares), j] = squares
-            weights[:len(squares), j] = counts.T
-        roots[group] = _orlicz_roots(reps_sq, weights)
-    out = np.empty((len(supports), 3))
+    one row per support of the iterable `supports`, a None support (a zero
+    sample) giving zeros.  Drawn supports are solved in consecutive groups of
+    at most ROOT_GROUP_CELLS padded cells (a wider one alone), which fit in
+    cache; only the pending group is held, and no root depends on its group."""
+    roots, group, width = [], [], 0
+
+    def solve(group, width):
+        reps_sq, weights = np.zeros((width, len(group))), np.zeros((width, len(group), RESAMPLES))
+        for j, (_, (_, squares, counts)) in enumerate(group):
+            reps_sq[:len(squares), j], weights[:len(squares), j] = squares, counts.T
+        for (i, _), row in zip(group, _orlicz_roots(reps_sq, weights)):
+            roots[i] = row
+
+    for support in supports:
+        roots.append(np.zeros(RESAMPLES))
+        if support is None:
+            continue
+        wider = max(width, len(support[1]))
+        if group and wider * (len(group) + 1) * RESAMPLES > ROOT_GROUP_CELLS:
+            solve(group, width)
+            group, wider = [], len(support[1])
+        group.append((len(roots) - 1, support))
+        width = wider
+    if group:
+        solve(group, width)
+    roots = np.array(roots)
+    out = np.empty((len(roots), 3))
     out[:, 0] = np.median(roots, axis=-1)
     out[:, 1:] = np.percentile(roots, [2.5, 97.5], axis=-1).T
     return out
@@ -328,10 +339,10 @@ def scan_directions(y, n_random: int, seed: int, stream_id: int, *, parts=None,
     budget.  A projection's Orlicz estimate and MGF fit read one compression
     and one set of weights (the MGF on representatives shifted by its mean).
 
-    Directions go in fixed blocks whose working set fits SCAN_BLOCK_BYTES,
-    canonical ones apart from the others, each projected by `_project` on one
-    of `threads` workers: a canonical block is y's columns, read in place when
-    y is column-major (as sampled), and any other block a product.  Each part
+    Directions go in fixed blocks sized by SCAN_BLOCK_BYTES, canonical ones
+    apart from the others, each projected by `_project` on one of `threads`
+    workers: a canonical block is y's columns, read in place when y is
+    column-major (as sampled), and any other block a product.  Each part
     reduces over its canonical columns, then its own directions, the first
     maximum winning ties, so the result is the same for any thread count.  (A
     block's product can round its last bits differently when its width
@@ -359,14 +370,15 @@ def scan_directions(y, n_random: int, seed: int, stream_id: int, *, parts=None,
               for start, stop in ((0, n), (n, len(dirs))) for lo in range(start, stop, size)]
     draw = _block_draw(rows, substream(seed, stream_id, _TAG_SCAN_BOOT))
 
-    def work(block):
-        proj = _project(y, dirs, block)
-        supports = [_draw_support(x, draw) for x in proj]
-        estimates = _orlicz_estimate(supports)
-        if lambda_grid is None:
-            return estimates, []
-        return estimates, [mgf_sigma(x, lambda_grid, support)
-                           for x, support in zip(proj, supports)]
+    def fitted(x, sigmas):
+        support = _draw_support(x, draw)
+        if lambda_grid is not None:
+            sigmas.append(mgf_sigma(x, lambda_grid, support))
+        return support
+
+    def work(block):  # each support is fitted as the root solve takes it, one group held
+        proj, sigmas = _project(y, dirs, block), []
+        return _orlicz_estimate(fitted(x, sigmas) for x in proj), sigmas
 
     results = thread_map(work, blocks, threads)
     estimates = np.concatenate([est for est, _ in results])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from subgauss.errors import SingularCovariance, ValidationError
+from subgauss.experiments import make_conditioned_covariance
 from subgauss.gaussian_core import (
     CHUNK_SIZE,
     SAMPLE_TILE,
@@ -266,38 +267,40 @@ class TestMappedSample:
 
 
 class TestTiledChunks:
-    """A chunk is mapped and stored into the column-major sample a tile at a
-    time, with the bits of its whole-chunk product and map."""
+    """A chunk is drawn, multiplied or gathered, mapped and stored into the
+    column-major sample a tile at a time.  It has the bits of the chunk's
+    whole draw and of its whole-chunk gather and map; a dense factor's
+    product, whose bits can depend on how many rows it takes, has those of
+    its SAMPLE_TILE-row products."""
 
     @pytest.mark.parametrize("threads", (1, 2))
     @pytest.mark.parametrize("phi", (None, get_map("clamp")), ids=("plain", "clamp"))
-    @pytest.mark.parametrize("make", [
-        lambda: CovarianceSpec.identity(16),
-        lambda: CovarianceSpec.rank_one_ones(16),
-        lambda: wishart_spec(17, 17, seed=4),   # a dense product of odd width
-        lambda: wishart_spec(17, 5, seed=4),    # dense and narrower than a row
-        lambda: CovarianceSpec.from_matrix(np.zeros((4, 4))),
+    @pytest.mark.parametrize("make, product_rows", [
+        (lambda: CovarianceSpec.identity(16), CHUNK_SIZE),
+        (lambda: CovarianceSpec.rank_one_ones(16), CHUNK_SIZE),
+        (lambda: wishart_spec(17, 17, seed=4), SAMPLE_TILE),   # a dense product of odd width
+        (lambda: wishart_spec(17, 5, seed=4), SAMPLE_TILE),    # dense and narrower than a row
+        (lambda: CovarianceSpec.from_matrix(np.zeros((4, 4))), CHUNK_SIZE),
     ], ids=("identity", "rank-one", "dense", "low-rank", "zero"))
-    def test_equals_the_whole_chunk_product(self, make, phi, threads):
+    def test_equals_the_whole_chunk_product(self, make, product_rows, phi, threads):
         cov = make()
         count = 2 * CHUNK_SIZE + SAMPLE_TILE + 17  # the last chunk and tile ragged
         width = cov.sampling_factor.shape[1]
         chunks = []
         for c, lo in enumerate(range(0, count, CHUNK_SIZE)):
             z = substream(6, 3, 0, c).standard_normal((min(CHUNK_SIZE, count - lo), width))
-            x = z @ cov.sampling_factor.T
+            x = np.concatenate([z[a:a + product_rows] @ cov.sampling_factor.T
+                                for a in range(0, len(z), product_rows)])
             chunks.append(x if phi is None else phi(x))
         y = sample_gaussian(cov, count, 6, 3, threads=threads, phi=phi)
         assert y.flags.f_contiguous and not y.flags.writeable
         assert np.array_equal(y.view(np.uint64), np.concatenate(chunks).view(np.uint64))
 
-    @pytest.mark.parametrize("threads", (1, 2))
-    def test_a_gather_holds_no_chunk_buffer(self, threads):
+    def assert_no_chunk_buffer(self, cov, threads):
         import tracemalloc
 
-        cov = CovarianceSpec.identity(256)
         cov.gather  # noqa: B018  (built before the trace)
-        chunk_bytes = CHUNK_SIZE * 256 * 8
+        chunk_bytes = CHUNK_SIZE * cov.dim * 8
         tracemalloc.start()
         try:
             y = sample_gaussian(cov, 4 * CHUNK_SIZE, 1, 0, threads=threads, phi=get_map("clamp"))
@@ -305,6 +308,17 @@ class TestTiledChunks:
         finally:
             tracemalloc.stop()
         assert peak - y.nbytes < chunk_bytes / 2
+
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_a_gather_holds_no_chunk_buffer(self, threads):
+        self.assert_no_chunk_buffer(CovarianceSpec.identity(256), threads)
+
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_a_dense_product_holds_no_chunk_buffer(self, threads):
+        # the theorem study's kappa = 16 covariance at n = 256
+        cov = make_conditioned_covariance(256, 16.0, 1)
+        assert cov.gather is None
+        self.assert_no_chunk_buffer(cov, threads)
 
     def test_malloc_trim_is_callable(self):
         assert _malloc_trim(0) in (0, 1)

@@ -117,13 +117,19 @@ def bootstrap_support(kind, count=20_000, resamples=50):
         "exact-three-point": lambda: rng.choice([-1.0, 0.5, 2.0], count),
         "exact-sparse": lambda: np.where(rng.random(count) < 1e-3, 40.0, 0.01),
     }[kind]()
-    draw = _block_draw(count, substream(32, kind))[:resamples]
-    _, squares, cells = _compress(x, draw.shape[1])  # the support every estimate solves
-    return squares, _resample_counts(cells, draw).T
+    draw, block = _block_draw(count, substream(32, kind))
+    _, squares, cells = _compress(x, block)  # the support every estimate solves
+    return squares, _resample_counts(cells, draw[:resamples]).T
 
 
 SUPPORTS = ("binned-gaussian", "binned-heavy", "binned-clipped",
             "exact-three-point", "exact-sparse")
+
+
+def compress(values):
+    """_compress of values in the BOOT_BLOCKS row-blocks of a block draw."""
+    assert len(values) >= BOOT_BLOCKS
+    return _compress(values, _block_draw(len(values), substream(0, "compress"))[1])
 
 
 def reference_compress(values, blocks):
@@ -156,7 +162,7 @@ class TestCompress:
         return levels[np.arange(count) % distinct][rng.permutation(count)]
 
     def assert_matches_reference(self, values):
-        reps, squares, cells = _compress(values, BOOT_BLOCKS)
+        reps, squares, cells = compress(values)
         # the totals are the block counts' column sums, and each block's own
         # counts are checked too
         arrays = (reps, squares, cells.sum(axis=0), cells)
@@ -166,14 +172,14 @@ class TestCompress:
     @pytest.mark.parametrize("distinct", (1, 2, BINS, BINS + 1, 640))
     def test_matches_full_sort(self, distinct):
         values = self.values(distinct)
-        reps, squares, cells = _compress(values, BOOT_BLOCKS)
+        reps, squares, cells = compress(values)
         counts = cells.sum(axis=0)
         assert len(reps) <= BINS and counts.sum() == len(values)
         self.assert_matches_reference(values)
 
     def test_exact_support_at_bins_distinct(self):
         values = self.values(BINS)
-        reps, squares, _ = _compress(values, BOOT_BLOCKS)
+        reps, squares, _ = compress(values)
         np.testing.assert_array_equal(reps, np.unique(values))
         np.testing.assert_array_equal(squares, reps * reps)
 
@@ -190,9 +196,21 @@ class TestCompress:
         head = self.values(3, count=prefix)
         self.assert_matches_reference(np.concatenate([head, [7.0], head[:50]]))
 
+    def test_new_values_after_the_longer_prefix(self):
+        longer = 8 * BINS
+        # the first 2 BINS + 2 rows miss levels, the longer prefix holds BINS + 1
+        # of them: binned without a sort, and the tail widens the range
+        head = self.values(BINS + 1, count=longer)
+        assert len(np.unique(head[:2 * BINS + 2])) <= BINS < len(np.unique(head))
+        self.assert_matches_reference(np.concatenate([head, [-50.0, 50.0]]))
+        # the longer prefix holds BINS values: sorted, the tail adding one or none
+        head = self.values(BINS, count=longer)
+        self.assert_matches_reference(np.concatenate([head, [7.0], head[:50]]))
+        self.assert_matches_reference(np.concatenate([head, head[:50]]))
+
     def test_binned_squares_are_bin_means(self):
         values = substream(36, "compress").standard_normal(10_000)
-        reps, squares, cells = _compress(values, BOOT_BLOCKS)
+        reps, squares, cells = compress(values)
         counts = cells.sum(axis=0)
         assert np.all(squares >= reps * reps)  # Jensen within each bin
         assert squares @ counts == pytest.approx(values @ values, rel=1e-12)
@@ -425,6 +443,22 @@ class TestPsi2Vector:
         finally:
             tracemalloc.stop()
         assert peak < 3 * size * rows * 8
+
+    def test_peak_memory_holds_one_root_solve_group(self):
+        # each support is fitted as the root solve takes it, and only the
+        # pending group's supports are held, not the whole block's
+        rows, n = 5 * 10**4, 64
+        y = np.clip(substream(17, "vec-memory").standard_normal((rows, n)), -1.0, 1.0)
+        size = psi2_estimation.SCAN_BLOCK_BYTES // (8 * (rows + 6 * RESAMPLES * BINS))
+        grid = [0.25, 0.5, 1.0]
+        scan_directions(y[:2000, :2], 1, 1, 0, lambda_grid=grid)  # numpy's lazy imports
+        tracemalloc.start()  # it sees numpy's buffers
+        try:
+            scan_directions(y, 64, 1, 0, lambda_grid=grid, threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * size * rows * 8
 
     def test_canonical_blocks_are_not_copied(self):
         # a sampled sample is column-major: its canonical blocks are views of
