@@ -26,6 +26,7 @@ from subgauss.gaussian_core import (
     CovarianceSpec,
     condition_number,
     sample_gaussian,
+    subseed,
     substream,
 )
 from subgauss.psi2_estimation import direction_set, psi2_scalar, scan_directions
@@ -207,8 +208,8 @@ class TestTheoremExperiment:
             TheoremConfig(dims=dims, kappas=kappas)
 
     def test_peak_memory_is_about_the_scanned_half(self, monkeypatch):
-        # with small scan blocks one half of the image dominates: the centering
-        # half is freed before the scanned half is drawn, and nothing is copied
+        # with small scan blocks the scanned half dominates: it is the cell's
+        # one draw, centered by the exact mean as it is drawn, and nothing is copied
         monkeypatch.setattr(psi2_estimation, "SCAN_BLOCK_BYTES", 2**20)
         rows, n = 10**5, 64
         cfg = TheoremConfig(dims=(n,), kappas=(1.0,), maps=("clamp",),
@@ -221,22 +222,59 @@ class TestTheoremExperiment:
             tracemalloc.stop()
         assert peak < 0.75 * rows * n * 8
 
-    def test_each_cell_centers_by_an_independent_half(self, monkeypatch):
-        # two draws a cell, the centering half first, each from a stream of its own
+    @staticmethod
+    def record_draws(monkeypatch):
+        """The (count, seed, stream_id, image) of every draw the theorem study makes."""
         calls = []
 
         def recording(cov, count, seed, stream_id, **kwargs):
-            calls.append((count, seed, stream_id))
-            return sample_gaussian(cov, count, seed, stream_id, **kwargs)
+            image = sample_gaussian(cov, count, seed, stream_id, **kwargs)
+            calls.append((count, seed, stream_id, image))
+            return image
 
         monkeypatch.setattr(experiments, "sample_gaussian", recording)
+        return calls
+
+    def test_each_cell_makes_one_draw_from_its_own_stream(self, monkeypatch):
+        # the exact mean needs no sample: one draw a cell, of the scanned rows,
+        # from stream (eff_seed, cell) and no other
+        calls = self.record_draws(monkeypatch)
         samples = 20_001
-        cfg = TheoremConfig(dims=(8, 16), kappas=(1.0, 4.0), maps=("sgn", "clamp"),
+        maps = ("sgn", "clamp")
+        cfg = TheoremConfig(dims=(8, 16), kappas=(1.0, 4.0), maps=maps,
                             samples=samples, directions=0, seed=2)
         run_theorem_experiment(cfg, threads=1)
-        assert [count for count, _, _ in calls] == [samples // 2, samples - samples // 2] * 8
-        streams = [(seed, stream_id) for _, seed, stream_id in calls]
-        assert len(set(streams)) == len(streams)
+        assert [count for count, *_ in calls] == [samples - samples // 2] * 8
+        expected = [(subseed(cfg.seed, "theorem", name), cell)
+                    for name in maps for cell in range(4)]
+        assert [(seed, stream_id) for _, seed, stream_id, _ in calls] == expected
+
+    def test_sgn_image_is_centered_exactly(self, monkeypatch):
+        # sgn is odd and X_i symmetric, so its exact mean is 0 and the scanned
+        # image holds the signs themselves, at kappa 1 and above
+        calls = self.record_draws(monkeypatch)
+        cfg = TheoremConfig(dims=(8,), kappas=(1.0, 16.0), maps=("sgn",),
+                            samples=10_000, directions=0, seed=3)
+        run_theorem_experiment(cfg, threads=1)
+        assert len(calls) == 2
+        for *_, image in calls:
+            assert set(np.unique(image)) == {-1.0, 1.0}
+
+    @pytest.mark.parametrize("name", ("sgn", "clamp", "cos", "one",
+                                      "threshold:-1", "threshold:0.5"))
+    def test_centered_image_has_mean_zero(self, monkeypatch, name):
+        # the exact mean against the sampler: each column of the centered
+        # 5e4-row image within 5 standard errors of 0; cos and a threshold
+        # off 0 are not odd, so their means are not 0
+        calls = self.record_draws(monkeypatch)
+        rows = 100_000
+        cfg = TheoremConfig(dims=(16,), kappas=(16.0,), maps=(name,),
+                            samples=rows, directions=0, seed=4)
+        run_theorem_experiment(cfg, threads=1)
+        ((count, *_, image),) = calls
+        assert count == rows // 2
+        bound = 5.0 * image.std(axis=0) / math.sqrt(count)
+        assert np.all(np.abs(image.mean(axis=0)) <= bound)
 
 
 class TestConditionalHoeffding:

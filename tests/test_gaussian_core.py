@@ -337,8 +337,8 @@ class TestCenteringMap:
     ), ids=("one-chunk", "half-inside-a-chunk", "half-on-a-boundary", "odd"))
     @pytest.mark.parametrize("phi", (np.sign, get_map("clamp")), ids=("sgn", "clamp"))
     def test_equals_the_image_less_the_mean(self, phi, count, threads):
-        # the mean of an independent half, as the theorem study centers; clamp's
-        # sums are inexact, and a dense factor's product must see whole chunks
+        # a mean taken from an independent half; clamp's sums are inexact,
+        # and a dense factor's product must see whole chunks
         for cov in (CovarianceSpec.identity(256), wishart_spec(16, 32, seed=3)):
             half = count // 2
             m = sample_gaussian(cov, half, 5, 9, threads=threads, phi=phi).mean(axis=0)

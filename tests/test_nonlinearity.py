@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import integrate
 
 from subgauss.errors import BoundViolation, ValidationError
 from subgauss.nonlinearity import BoundedMap, get_map
@@ -13,26 +16,35 @@ VALUES = {
     "one": [1.0] * 5,
     "threshold:0.5": [-1.0, -1.0, -1.0, 1.0, 1.0],  # the level itself maps to +1
 }
+# the registry with thresholds on both sides of 0, and each map's kinks
+SMOOTHED = ("sgn", "clamp", "cos", "one",
+            "threshold:-1", "threshold:0", "threshold:0.5", "threshold:2")
+KINKS = {"clamp": (-1.0, 1.0)}
+ZERO_MEAN = lambda m, s: np.zeros(np.broadcast(m, s).shape)  # noqa: E731
 
 
 class TestBoundedMap:
     def test_unbounded_map_rejected(self):
         with pytest.raises(BoundViolation):
-            BoundedMap("linear", lambda x: np.asarray(x, dtype=float))
+            BoundedMap("linear", lambda x: np.asarray(x, dtype=float), ZERO_MEAN)
 
     def test_certificate_above_one_rejected(self):
         # bounded, but not by 1
         with pytest.raises(BoundViolation):
-            BoundedMap("big", lambda x: 1.5 * np.sign(x))
+            BoundedMap("big", lambda x: 1.5 * np.sign(x), ZERO_MEAN)
 
     def test_breakpoints_place_the_probe_at_a_jump(self):
         # above 1 only within 1e-5 of 0.123, which the grid steps over
         def spiky(x):
             return np.where(np.abs(x - 0.123) < 1e-5, 2.0, np.sign(x))
 
-        BoundedMap("spiky", spiky)
+        BoundedMap("spiky", spiky, ZERO_MEAN)
         with pytest.raises(BoundViolation):
-            BoundedMap("spiky", spiky, breakpoints=(0.123,))
+            BoundedMap("spiky", spiky, ZERO_MEAN, breakpoints=(0.123,))
+
+    def test_a_map_needs_its_smoothed_mean(self):
+        with pytest.raises(TypeError, match="smoothed_mean"):
+            BoundedMap("sgn", np.sign)
 
     def test_registry_names(self):
         for name in BUILTINS:
@@ -76,3 +88,30 @@ class TestBoundedMap:
     def test_non_finite_threshold_rejected(self, level):
         with pytest.raises(ValidationError, match="finite"):
             get_map(f"threshold:{level}")
+
+
+class TestSmoothedMean:
+    @pytest.mark.parametrize("name", SMOOTHED)
+    @pytest.mark.parametrize("m", (-1.0, 0.0, 0.7))
+    @pytest.mark.parametrize("s", (0.3, 1.0, 4.0))
+    def test_matches_a_quadrature_of_the_map(self, name, m, s):
+        # E phi(m + sZ) as the integral of phi against the N(m, s^2) density,
+        # split at each jump and kink; beyond 12 s the density is below 1e-31
+        bmap = get_map(name)
+
+        def integrand(x):
+            density = math.exp(-0.5 * ((x - m) / s) ** 2) / (s * math.sqrt(2 * math.pi))
+            return float(bmap(x)) * density
+
+        lo, hi = m - 12.0 * s, m + 12.0 * s
+        points = [p for p in bmap.breakpoints + KINKS.get(name, ()) if lo < p < hi]
+        exact, _ = integrate.quad(integrand, lo, hi, points=points or None,
+                                  epsabs=1e-13, epsrel=1e-13, limit=200)
+        assert abs(float(bmap.smoothed_mean(m, s)) - exact) <= 1e-9
+
+    @pytest.mark.parametrize("name", SMOOTHED)
+    def test_elementwise_over_scales(self, name):
+        bmap = get_map(name)
+        s = np.array([0.3, 1.0, 4.0])
+        np.testing.assert_array_equal(bmap.smoothed_mean(0.0, s),
+                                      [float(bmap.smoothed_mean(0.0, v)) for v in s])
